@@ -107,7 +107,6 @@ from reviewgen.scoring import (
     Vocab,
     backward,
     category_sentences,
-    classify_sentence,
     evaluate,
     forward,
     gradient_check,

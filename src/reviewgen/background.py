@@ -218,11 +218,11 @@ def match_element(index: BackgroundIndex, key: ElementKey) -> ElementMatch:
 
 
 def _mention_count(kg: KnowledgeGraph, key: ElementKey) -> int:
-    by_rep = {e.representative: len(e.mentions) for e in kg.entities}
+    by_rep = kg.entity_by_representative
     if not key.is_edge:
-        return by_rep[key.head]
+        return len(by_rep[key.head].mentions)
     # an edge is supported at most as often as its least-mentioned endpoint
-    return min(by_rep[key.head], by_rep[key.tail])
+    return min(len(by_rep[key.head].mentions), len(by_rep[key.tail].mentions))
 
 
 def tfidf(index: BackgroundIndex, key: ElementKey, paper_kg: KnowledgeGraph) -> float:
@@ -329,6 +329,12 @@ def load_index(path: str | Path) -> BackgroundIndex:
         raise FormatVersionError(
             f"{path}: unsupported version {header.get('version')!r}"
         )
+    try:
+        cutoff_year = int(header["cutoff_year"])
+        n_papers = int(header["n_papers"])
+        year_counts = {int(y): c for y, c in header["year_counts"].items()}
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed header fields: {exc}") from exc
     num_keys = header.get("num_keys")
     body = lines[1:]
     if len(body) != num_keys:
@@ -342,6 +348,8 @@ def load_index(path: str | Path) -> BackgroundIndex:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{locus}: malformed row: {exc.msg}") from exc
+        if not isinstance(row, list):
+            raise ParseError(f"{locus}: row must be an array")
         key = _key_from_fields(row[:-1], locus)
         refs = row[-1]
         if not isinstance(refs, list) or not refs:
@@ -355,17 +363,17 @@ def load_index(path: str | Path) -> BackgroundIndex:
                 or not isinstance(ref[1], int)
             ):
                 raise ParseError(f"{locus}: malformed posting {ref!r}")
+            if ref[1] >= cutoff_year:
+                raise ParseError(
+                    f"{locus}: posting {ref!r} is not before cutoff {cutoff_year}"
+                )
             parsed.append(PaperRef(ref[0], ref[1]))
         if key in postings:
             raise ParseError(f"{locus}: duplicate element key")
         postings[key] = tuple(parsed)
-    try:
-        year_counts = {int(y): c for y, c in header["year_counts"].items()}
-        return BackgroundIndex(
-            cutoff_year=int(header["cutoff_year"]),
-            n_papers=int(header["n_papers"]),
-            year_counts=year_counts,
-            postings=postings,
-        )
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed header fields: {exc}") from exc
+    return BackgroundIndex(
+        cutoff_year=cutoff_year,
+        n_papers=n_papers,
+        year_counts=year_counts,
+        postings=postings,
+    )

@@ -3,8 +3,9 @@ score models, generate reviews, plot novelty over time, verify gradients.
 
 Exit codes: 0 success, 2 bad input or usage, 3 missing or unreadable
 artifact (index or model files), 1 failed internal check. Results go to
-standard output; diagnostics go to standard error. Every command honors
---seed and produces byte-identical output given identical inputs.
+standard output; diagnostics go to standard error. Every command produces
+byte-identical output given identical inputs; train and grad-check take
+the --seed that fixes their randomness.
 """
 
 from __future__ import annotations
@@ -336,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="directory of paper JSON files")
     p.add_argument("--cutoff", type=int, required=True, help="strict year cutoff")
     p.add_argument("--index", required=True, help="output index path")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_build_background)
 
     p = sub.add_parser("review", help="generate a review for one paper")
@@ -345,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", required=True, help="directory of trained models")
     p.add_argument("--templates", help="template JSON (default: built-in)")
     p.add_argument("--format", choices=("json", "markdown"), default="markdown")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--cutoff",
         type=int,
@@ -369,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--index", required=True)
     p.add_argument("--models", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cutoff", type=int, help="override per-paper cutoff year")
     p.set_defaults(func=cmd_evaluate)
 
@@ -379,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("papers", nargs="+", help="paper JSON files to track")
     p.add_argument("--corpus", required=True, help="background corpus directory")
     p.add_argument("--years", required=True, help="inclusive range, e.g. 2010..2018")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_novelty_timeline)
 
     p = sub.add_parser("grad-check", help="verify analytic gradients numerically")

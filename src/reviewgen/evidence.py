@@ -70,6 +70,8 @@ class EvidenceBundle:
     novelty_new: tuple[ElementKey, ...]
     comparison: tuple[ComparisonEntry, ...]
     features: np.ndarray
+    gp: KnowledgeGraph  # target-scope graph
+    grel: KnowledgeGraph  # related-work graph
     # representative -> original-casing surface, for rendering comments;
     # target-scope entities win over related-work ones on collisions
     surfaces: dict[NormalizedString, str] = field(default_factory=dict)
@@ -162,7 +164,7 @@ def evidence_features(
 ) -> np.ndarray:
     """Deterministic 17-dim numeric summary of one paper's evidence."""
     features = np.zeros(FEATURE_DIM, dtype=np.float64)
-    by_rep = {e.representative: e for e in gp.entities}
+    by_rep = gp.entity_by_representative
     entity_type_order = list(EntityType)
     relation_order = list(RelationType)
     for key in novelty_new:
@@ -200,6 +202,8 @@ def build_bundle(
         novelty_new=tuple(novelty_new),
         comparison=tuple(comparison),
         features=features,
+        gp=gp,
+        grel=grel,
         surfaces=surfaces,
     )
 

@@ -149,6 +149,7 @@ class KnowledgeGraph:
         # subgraph, so always resolve through the id map
         return self._entities_by_id[entity_id]
 
+    @cached_property
     def entity_by_representative(self) -> dict[NormalizedString, Entity]:
         return {e.representative: e for e in self.entities}
 
@@ -220,24 +221,18 @@ def build_kg(paper: PaperRecord, scope: set[SectionKind]) -> KnowledgeGraph:
             groups.append([m])
     groups.sort(key=lambda ms: min(m.mention_id for m in ms))
 
-    # Merge until no two representatives contain one another. A single
-    # full pairwise pass reaches the fixed point (a merged group's
-    # representative is always one of the old representatives), but the
-    # loop keeps the invariant checkable rather than argued.
-    while len(groups) > 1:
-        reps = [normalize(representative_mention(g).surface) for g in groups]
-        uf = _UnionFind(len(groups))
-        merged = False
-        for i, j in itertools.combinations(range(len(groups)), 2):
-            if uf.find(i) != uf.find(j) and coreferential(reps[i], reps[j]):
-                uf.union(i, j)
-                merged = True
-        if not merged:
-            break
-        regrouped: dict[int, list[Mention]] = {}
-        for i, group in enumerate(groups):
-            regrouped.setdefault(uf.find(i), []).extend(group)
-        groups = [regrouped[root] for root in sorted(regrouped)]
+    # Merge groups whose representatives contain one another. One pairwise
+    # pass is sufficient: a merged group's representative is always one of
+    # the old representatives, so no merge creates a new containment pair.
+    reps = [normalize(representative_mention(g).surface) for g in groups]
+    uf = _UnionFind(len(groups))
+    for i, j in itertools.combinations(range(len(groups)), 2):
+        if uf.find(i) != uf.find(j) and coreferential(reps[i], reps[j]):
+            uf.union(i, j)
+    regrouped: dict[int, list[Mention]] = {}
+    for i, group in enumerate(groups):
+        regrouped.setdefault(uf.find(i), []).extend(group)
+    groups = [regrouped[root] for root in sorted(regrouped)]
 
     merged_entities = []
     for group in groups:
@@ -289,14 +284,7 @@ def build_kg(paper: PaperRecord, scope: set[SectionKind]) -> KnowledgeGraph:
 def elements(kg: KnowledgeGraph) -> list[ElementKey]:
     """All knowledge elements of a graph, sorted by the key total order."""
     keys = [ElementKey.node(e.representative) for e in kg.entities]
-    keys.extend(
-        ElementKey.edge(
-            kg.entity(e.head).representative,
-            e.relation,
-            kg.entity(e.tail).representative,
-        )
-        for e in kg.edges
-    )
+    keys.extend(edge_key(kg, e) for e in kg.edges)
     keys.sort(key=ElementKey.sort_key)
     return keys
 

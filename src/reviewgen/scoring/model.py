@@ -3,8 +3,8 @@
 Token embeddings run through a single-layer GRU; attention pools the
 hidden states into a context vector; the evidence feature vector maps
 through a tanh layer; the concatenation feeds a linear softmax head with
-C classes (5 for score prediction, 2 for the sentence selector).
-Everything is float64 numpy, and all randomness is seeded.
+C classes (5 for score prediction). Everything is float64 numpy, and all
+randomness is seeded.
 
 Gate equations (update z, reset r, candidate h~):
     z_t = sigmoid(W_z x_t + U_z h_{t-1} + b_z)
@@ -15,7 +15,7 @@ Gate equations (update z, reset r, candidate h~):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -166,31 +166,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - np.max(logits)
     ex = np.exp(shifted)
     return ex / ex.sum()
-
-
-def gru_step(x_t: np.ndarray, h_prev: np.ndarray, params: ModelParams) -> np.ndarray:
-    """One recurrence step; see the gate equations in the module docstring."""
-    if x_t.shape != (params.d_w,) or h_prev.shape != (params.d_h,):
-        raise ShapeMismatchError(
-            f"gru_step: x {x_t.shape} vs d_w={params.d_w}, "
-            f"h {h_prev.shape} vs d_h={params.d_h}"
-        )
-    z = sigmoid(params.w_z @ x_t + params.u_z @ h_prev + params.b_z)
-    r = sigmoid(params.w_r @ x_t + params.u_r @ h_prev + params.b_r)
-    h_tilde = np.tanh(params.w_h @ x_t + params.u_h @ (r * h_prev) + params.b_h)
-    return (1.0 - z) * h_prev + z * h_tilde
-
-
-def attend(
-    hidden: Sequence[np.ndarray], params: ModelParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pool hidden states: scores v.tanh(W h_i), softmax weights, weighted sum."""
-    if len(hidden) == 0:
-        raise EmptySequenceError("attend() requires at least one hidden state")
-    h_mat = np.asarray(hidden)  # T x d_h
-    scores = np.tanh(h_mat @ params.w_att.T) @ params.v_att  # T
-    alpha = softmax(scores)
-    return alpha @ h_mat, alpha
 
 
 @dataclass

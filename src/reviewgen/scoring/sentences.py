@@ -10,13 +10,7 @@ from __future__ import annotations
 
 from reviewgen.corpus import Category, PaperRecord, SectionKind
 from reviewgen.evidence import EvidenceBundle
-from reviewgen.kg import (
-    ElementKey,
-    KnowledgeGraph,
-    RELATED_SCOPE,
-    TARGET_SCOPE,
-    build_kg,
-)
+from reviewgen.kg import ElementKey, KnowledgeGraph
 from reviewgen.scoring.vocab import SEP_TOKEN, UNK_TOKEN
 
 # Reading order for "document order" across sections.
@@ -32,7 +26,7 @@ def _mention_positions(
     kg: KnowledgeGraph, keys: list[ElementKey]
 ) -> set[tuple[SectionKind, int]]:
     """(section, sentence) pairs where any entity behind ``keys`` is mentioned."""
-    by_rep = kg.entity_by_representative()
+    by_rep = kg.entity_by_representative
     positions: set[tuple[SectionKind, int]] = set()
     for key in keys:
         reps = [key.head] if key.tail is None else [key.head, key.tail]
@@ -47,7 +41,7 @@ def _mention_positions(
 
 
 def _evidence_positions(
-    paper: PaperRecord, bundle: EvidenceBundle, category: Category
+    bundle: EvidenceBundle, category: Category
 ) -> set[tuple[SectionKind, int]]:
     if category is Category.OVERALL_RECOMMENDATION:
         return {
@@ -56,11 +50,9 @@ def _evidence_positions(
             for m in entity.mentions
         }
     if category is Category.NOVELTY:
-        gp = build_kg(paper, TARGET_SCOPE)
-        return _mention_positions(gp, list(bundle.novelty_new))
+        return _mention_positions(bundle.gp, list(bundle.novelty_new))
     if category is Category.MEANINGFUL_COMPARISON:
-        grel = build_kg(paper, RELATED_SCOPE)
-        return _mention_positions(grel, [e.element for e in bundle.comparison])
+        return _mention_positions(bundle.grel, [e.element for e in bundle.comparison])
     return set()  # score-only categories read the abstract
 
 
@@ -78,7 +70,7 @@ def category_sentences(
     """
     if max_seq_len < 1:
         raise ValueError(f"max_seq_len must be >= 1, got {max_seq_len}")
-    positions = _evidence_positions(paper, bundle, category)
+    positions = _evidence_positions(bundle, category)
     selected = [
         sentence
         for section in _SECTION_ORDER

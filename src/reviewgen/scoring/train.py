@@ -27,7 +27,7 @@ from reviewgen.errors import (
     MissingModelError,
     ParseError,
 )
-from reviewgen.evidence import FEATURE_DIM, EvidenceBundle
+from reviewgen.evidence import EvidenceBundle
 from reviewgen.scoring.grad import backward
 from reviewgen.scoring.model import (
     ModelParams,
@@ -215,22 +215,6 @@ def evaluate(
         n = len(examples)
         metrics[category] = EvalMetrics(accuracy=hits / n, mse=sq_err / n)
     return metrics
-
-
-def classify_sentence(
-    tokens: Sequence[str], model: ScoreModel
-) -> tuple[bool, float]:
-    """Select/not-select decision; returns the select-class probability.
-
-    Evidence features play no role for sentence selection, so they are
-    fixed to zeros. A tie (p = 0.5 exactly) is not selected.
-    """
-    if not tokens:
-        raise ValueError("classify_sentence requires a non-empty token sequence")
-    token_ids = model.vocab.encode(tokens)[: model.max_seq_len]
-    probs = forward(token_ids, np.zeros(FEATURE_DIM), model.params)
-    p_select = float(probs[1])
-    return p_select > 0.5, p_select
 
 
 def _encode_array(arr: np.ndarray) -> dict:

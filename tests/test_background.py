@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -344,6 +345,28 @@ class TestPersistence:
         lines[3] = "not json\n"
         path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ParseError):
+            load_index(path)
+
+    @pytest.mark.parametrize("row", ['{"a": 1}', "3", "null"])
+    def test_non_array_row_rejected(self, index2018, tmp_path, row):
+        path = tmp_path / "bg.json"
+        save_index(index2018, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = row + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ParseError, match="row must be an array"):
+            load_index(path)
+
+    @pytest.mark.parametrize("year", [2018, 2030])
+    def test_posting_at_or_after_cutoff_rejected(self, index2018, tmp_path, year):
+        path = tmp_path / "bg.json"
+        save_index(index2018, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[1])
+        row[-1][-1][1] = year
+        lines[1] = json.dumps(row) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ParseError, match="not before cutoff 2018"):
             load_index(path)
 
     def test_foreign_file_rejected(self, tmp_path):

@@ -191,6 +191,24 @@ class TestReview:
         )
         assert result.returncode == 3
 
+    @pytest.mark.parametrize("mutation", ["non-array row", "future posting"])
+    def test_bad_index_row_is_artifact_error(self, trained, tmp_path, mutation):
+        lines = trained["index"].read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[1])
+        if mutation == "non-array row":
+            row = {"a": 1}
+        else:
+            row[-1][-1][1] = 2030
+        lines[1] = json.dumps(row) + "\n"
+        index = tmp_path / "bg.json"
+        index.write_text("".join(lines), encoding="utf-8")
+        result = run_cli(
+            "review", PAPERS / "P12.json", "--index", index,
+            "--models", trained["models"],
+        )
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+
     def test_corrupt_paper_arg(self, trained, tmp_path):
         bad = tmp_path / "paper.json"
         bad.write_text("[]", encoding="utf-8")

@@ -11,10 +11,8 @@ from reviewgen.errors import EmptySequenceError, ShapeMismatchError
 from reviewgen.scoring.model import (
     ModelParams,
     TrainConfig,
-    attend,
     forward,
     forward_trace,
-    gru_step,
     init_params,
     loss,
     sigmoid,
@@ -101,26 +99,30 @@ def s_forward(token_ids, features, p: ModelParams):
     return s_softmax(logits)
 
 
+def random_trace(rng, p: ModelParams, max_len=6):
+    t_len = int(rng.integers(1, max_len + 1))
+    token_ids = [int(v) for v in rng.integers(0, p.vocab_size, t_len)]
+    return forward_trace(token_ids, rng.normal(size=17), p)
+
+
 class TestScalarOracle:
     def test_gru_step(self):
         rng = np.random.default_rng(11)
         for seed in range(10):
             p = small_params(seed=seed)
-            x = rng.normal(size=p.d_w)
-            h_prev = rng.normal(size=p.d_h)
-            got = gru_step(x, h_prev, p)
-            want = s_gru_step(x.tolist(), h_prev.tolist(), p)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            trace = random_trace(rng, p)
+            for t in range(len(trace.token_ids)):
+                want = s_gru_step(trace.x[t].tolist(), trace.h[t].tolist(), p)
+                np.testing.assert_allclose(trace.h[t + 1], want, rtol=0, atol=1e-12)
 
     def test_attend(self):
         rng = np.random.default_rng(12)
         for seed in range(10):
             p = small_params(seed=seed)
-            hidden = [rng.normal(size=p.d_h) for _ in range(rng.integers(1, 6))]
-            context, alpha = attend(hidden, p)
-            want_c, want_a = s_attend([h.tolist() for h in hidden], p)
-            np.testing.assert_allclose(context, want_c, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(alpha, want_a, rtol=0, atol=1e-12)
+            trace = random_trace(rng, p)
+            want_c, want_a = s_attend([h.tolist() for h in trace.h[1:]], p)
+            np.testing.assert_allclose(trace.context, want_c, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(trace.alpha, want_a, rtol=0, atol=1e-12)
 
     def test_forward(self):
         rng = np.random.default_rng(13)
@@ -135,62 +137,59 @@ class TestScalarOracle:
 
 
 class TestGruStep:
+    """The recurrence as forward_trace runs it, one step per token."""
+
     def test_zero_params_halve_state(self):
         p = zero_params()
-        h_prev = np.array([1.0, -2.0, 4.0, 0.5])
-        out = gru_step(np.zeros(3), h_prev, p)
-        np.testing.assert_array_equal(out, 0.5 * h_prev)
+        p.embed[1] = [1.0, -2.0, 0.5]
+        p.w_h[...] = small_params().w_h
+        # token 1 moves the state off zero; token 0 embeds to the zero input
+        trace = forward_trace([1, 0, 0], np.zeros(17), p)
+        assert np.any(trace.h[1] != 0.0)
+        np.testing.assert_array_equal(trace.h[2], 0.5 * trace.h[1])
+        np.testing.assert_array_equal(trace.h[3], 0.5 * trace.h[2])
 
     def test_zero_params_zero_state_stay_zero(self):
-        p = zero_params()
-        out = gru_step(np.zeros(3), np.zeros(4), p)
-        np.testing.assert_array_equal(out, np.zeros(4))
+        trace = forward_trace([0, 1, 2], np.zeros(17), zero_params())
+        np.testing.assert_array_equal(trace.h, np.zeros((4, 4)))
 
     def test_state_is_convex_mix(self):
-        """h_t is elementwise between h_prev and h~, so bounded by both."""
+        """h_t is elementwise between h_{t-1} and h~_t."""
         rng = np.random.default_rng(3)
         p = small_params()
         for _ in range(20):
-            h_prev = rng.normal(size=4)
-            out = gru_step(rng.normal(size=3), h_prev, p)
-            lo = np.minimum(h_prev, -1.0)
-            hi = np.maximum(h_prev, 1.0)
-            assert np.all(out >= lo - 1e-15) and np.all(out <= hi + 1e-15)
-
-    def test_shape_validation(self):
-        p = small_params()
-        with pytest.raises(ShapeMismatchError):
-            gru_step(np.zeros(5), np.zeros(4), p)
-        with pytest.raises(ShapeMismatchError):
-            gru_step(np.zeros(3), np.zeros(2), p)
+            trace = random_trace(rng, p, max_len=8)
+            for t in range(len(trace.token_ids)):
+                lo = np.minimum(trace.h[t], trace.h_tilde[t])
+                hi = np.maximum(trace.h[t], trace.h_tilde[t])
+                out = trace.h[t + 1]
+                assert np.all(out >= lo - 1e-15) and np.all(out <= hi + 1e-15)
 
 
 class TestAttend:
+    """Attention pooling over the hidden states of forward_trace."""
+
     def test_single_state_gets_full_weight(self):
-        p = small_params()
-        h = np.array([0.3, -1.0, 2.0, 0.0])
-        context, alpha = attend([h], p)
-        np.testing.assert_array_equal(alpha, [1.0])
-        np.testing.assert_array_equal(context, h)
+        trace = forward_trace([2], np.ones(17), small_params())
+        np.testing.assert_array_equal(trace.alpha, [1.0])
+        np.testing.assert_array_equal(trace.context, trace.h[1])
 
     def test_identical_states_share_weight(self):
         p = small_params()
-        h = np.array([0.3, -1.0, 2.0, 0.0])
-        context, alpha = attend([h, h], p)
-        np.testing.assert_allclose(alpha, [0.5, 0.5], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(context, h, rtol=0, atol=1e-15)
+        # a saturated update gate and no recurrent candidate term make
+        # h_t depend on the current token alone
+        p.b_z[...] = 1000.0
+        p.u_h[...] = 0.0
+        trace = forward_trace([3, 3], np.ones(17), p)
+        np.testing.assert_array_equal(trace.h[1], trace.h[2])
+        np.testing.assert_allclose(trace.alpha, [0.5, 0.5], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(trace.context, trace.h[1], rtol=0, atol=1e-15)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(7)
-        p = small_params()
-        hidden = [rng.normal(size=4) for _ in range(5)]
-        _, alpha = attend(hidden, p)
-        assert alpha.sum() == pytest.approx(1.0, abs=1e-15)
-        assert np.all(alpha > 0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptySequenceError):
-            attend([], small_params())
+        trace = forward_trace([0, 3, 5, 1, 2], rng.normal(size=17), small_params())
+        assert trace.alpha.sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.all(trace.alpha > 0)
 
 
 class TestForward:

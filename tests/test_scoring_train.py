@@ -15,14 +15,12 @@ from reviewgen.errors import (
     ParseError,
 )
 from reviewgen.evidence import build_bundle
-from reviewgen.background import build_index
-from reviewgen.scoring.model import TrainConfig, init_params
+from reviewgen.scoring.model import TrainConfig, forward, init_params
 from reviewgen.scoring.train import (
     NUM_SCORE_CLASSES,
     EvalMetrics,
     ScoreModel,
     TrainingExample,
-    classify_sentence,
     evaluate,
     load_model,
     predict_scores,
@@ -97,8 +95,6 @@ class TestTrain:
         config = TrainConfig(d_w=6, d_h=8, d_a=6, d_e=4, epochs=40,
                              learning_rate=0.02, seed=1)
         params = train([example([3, 4, 5], 3)], 6, config)
-        from reviewgen.scoring.model import forward
-
         probs = forward([3, 4, 5], np.zeros(17), params)
         assert int(np.argmax(probs)) == 3
 
@@ -131,53 +127,29 @@ class TestTrain:
         assert len(lines) == TINY.epochs
         assert lines[0].startswith("epoch 1/")
 
-
-class TestClassifySentence:
-    def separable_dataset(self, vocab):
+    def test_learns_keyword_split(self):
         positive = [["novel", "attention", "gain"],
                     ["novel", "gain"],
                     ["attention", "novel"]]
         negative = [["baseline", "known", "prior"],
                     ["known", "prior"],
                     ["prior", "baseline"]]
-        data = []
-        for tokens in positive:
-            data.append(example(vocab.encode(tokens), 1))
-        for tokens in negative:
-            data.append(example(vocab.encode(tokens), 0))
-        return data
-
-    def test_learns_keyword_split(self):
-        sentences = [["novel", "attention", "gain"],
-                     ["baseline", "known", "prior"]]
-        vocab = Vocab.build(sentences)
+        vocab = Vocab.build(positive + negative)
+        dataset = [example(vocab.encode(tokens), 1) for tokens in positive]
+        dataset += [example(vocab.encode(tokens), 0) for tokens in negative]
         config = TrainConfig(d_w=8, d_h=12, d_a=8, d_e=4, epochs=25,
                              learning_rate=0.01, seed=0)
-        params = train(self.separable_dataset(vocab), len(vocab), config,
-                       num_classes=2)
-        model = ScoreModel(params=params, vocab=vocab, max_seq_len=16)
-        probes = [(["novel", "attention"], True),
-                  (["novel", "gain"], True),
-                  (["known", "baseline"], False),
-                  (["prior", "known"], False)]
+        params = train(dataset, len(vocab), config, num_classes=2)
+        probes = [(["novel", "attention"], 1),
+                  (["novel", "gain"], 1),
+                  (["known", "baseline"], 0),
+                  (["prior", "known"], 0)]
         hits = sum(
-            classify_sentence(tokens, model)[0] == want
+            int(np.argmax(forward(vocab.encode(tokens), np.zeros(17), params)))
+            == want
             for tokens, want in probes
         )
         assert hits / len(probes) >= 0.95
-
-    def test_uniform_model_not_selected(self):
-        model = zero_model(num_classes=2)
-        selected, p = classify_sentence(["anything"], model)
-        assert (selected, p) == (False, 0.5)
-
-    def test_empty_tokens_rejected(self):
-        with pytest.raises(ValueError):
-            classify_sentence([], zero_model(num_classes=2))
-
-    def test_unknown_words_still_classify(self):
-        selected, p = classify_sentence(["never", "seen"], zero_model(2))
-        assert isinstance(selected, bool) and 0.0 < p < 1.0
 
 
 class TestPredictScores:
