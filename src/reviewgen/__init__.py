@@ -8,12 +8,10 @@ attentional recurrent classifier, and renders template-based comments.
 
 from reviewgen.background import (
     BackgroundIndex,
-    ElementMatch,
     PaperRef,
     build_index,
     load_index,
     match_element,
-    merge,
     restrict,
     save_index,
     tfidf,
@@ -43,7 +41,6 @@ from reviewgen.errors import (
     EmptySequenceError,
     FormatVersionError,
     MissingModelError,
-    OverlappingPapersError,
     ParseError,
     PreconditionViolation,
     ReviewgenError,

@@ -14,15 +14,15 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from reviewgen.corpus import PaperRecord, RelationType, SectionKind
 from reviewgen.errors import (
     CutoffMismatchError,
     FormatVersionError,
-    OverlappingPapersError,
     ParseError,
     PreconditionViolation,
     ValidationError,
@@ -46,14 +46,6 @@ class PaperRef(NamedTuple):
     year: int
 
 
-@dataclass(frozen=True)
-class ElementMatch:
-    """Papers in the index whose elements match a query element."""
-
-    element: ElementKey
-    papers: tuple[PaperRef, ...]  # year descending, then paper_id ascending
-
-
 @dataclass
 class BackgroundIndex:
     """Element postings over all corpus papers published before the cutoff.
@@ -68,28 +60,20 @@ class BackgroundIndex:
     n_papers: int
     year_counts: dict[int, int]
     postings: dict[ElementKey, tuple[PaperRef, ...]]
-    _hints: dict | None = field(default=None, compare=False, repr=False)
 
-    @property
-    def df(self) -> dict[ElementKey, int]:
-        """Document frequency per exact key (distinct papers per posting)."""
-        return {key: len(refs) for key, refs in self.postings.items()}
-
-    def _hint_index(self) -> dict:
+    @cached_property
+    def _hints(self) -> dict[str, dict[str, list[ElementKey]]]:
         # token -> keys whose head contains the token, split by node/edge
-        if self._hints is None:
-            node_hints: dict[str, list[ElementKey]] = {}
-            edge_hints: dict[str, list[ElementKey]] = {}
-            for key in self.postings:
-                hints = edge_hints if key.is_edge else node_hints
-                for token in set(key.head):
-                    hints.setdefault(token, []).append(key)
-            self._hints = {"node": node_hints, "edge": edge_hints}
-        return self._hints
+        hints: dict[str, dict[str, list[ElementKey]]] = {"node": {}, "edge": {}}
+        for key in self.postings:
+            by_token = hints["edge" if key.is_edge else "node"]
+            for token in set(key.head):
+                by_token.setdefault(token, []).append(key)
+        return hints
 
     def candidate_keys(self, key: ElementKey) -> list[ElementKey]:
         """Posting keys that could match ``key``, superset of true matches."""
-        hints = self._hint_index()["edge" if key.is_edge else "node"]
+        hints = self._hints["edge" if key.is_edge else "node"]
         seen: set[ElementKey] = set()
         out = []
         for token in key.head:
@@ -110,10 +94,6 @@ def _keys_match(query: ElementKey, candidate: ElementKey) -> bool:
         and coreferential(query.head, candidate.head)
         and coreferential(query.tail, candidate.tail)
     )
-
-
-def _sorted_refs(refs: Iterable[PaperRef]) -> tuple[PaperRef, ...]:
-    return tuple(sorted(refs, key=lambda r: (-r.year, r.paper_id)))
 
 
 def build_index(
@@ -152,34 +132,6 @@ def build_index(
     )
 
 
-def merge(a: BackgroundIndex, b: BackgroundIndex) -> BackgroundIndex:
-    """Combine two shard indexes built over disjoint paper sets."""
-    if a.cutoff_year != b.cutoff_year:
-        raise CutoffMismatchError(
-            f"cutoff years differ: {a.cutoff_year} vs {b.cutoff_year}"
-        )
-    ids_a = {ref.paper_id for refs in a.postings.values() for ref in refs}
-    ids_b = {ref.paper_id for refs in b.postings.values() for ref in refs}
-    overlap = ids_a & ids_b
-    if overlap:
-        raise OverlappingPapersError(
-            f"papers present in both shards: {sorted(overlap)[:5]}"
-        )
-    postings: dict[ElementKey, tuple[PaperRef, ...]] = {}
-    for key in set(a.postings) | set(b.postings):
-        combined = a.postings.get(key, ()) + b.postings.get(key, ())
-        postings[key] = tuple(sorted(combined))
-    year_counts = dict(a.year_counts)
-    for year, count in b.year_counts.items():
-        year_counts[year] = year_counts.get(year, 0) + count
-    return BackgroundIndex(
-        cutoff_year=a.cutoff_year,
-        n_papers=a.n_papers + b.n_papers,
-        year_counts=year_counts,
-        postings=postings,
-    )
-
-
 def restrict(index: BackgroundIndex, cutoff_year: int) -> BackgroundIndex:
     """Narrow an index to an earlier cutoff without rebuilding."""
     if cutoff_year > index.cutoff_year:
@@ -202,19 +154,21 @@ def restrict(index: BackgroundIndex, cutoff_year: int) -> BackgroundIndex:
     )
 
 
-def match_element(index: BackgroundIndex, key: ElementKey) -> ElementMatch:
+def match_element(index: BackgroundIndex, key: ElementKey) -> tuple[PaperRef, ...]:
     """All indexed papers containing an element that matches ``key``.
 
     Node keys match node postings whose representatives contain one
     another; edge keys additionally require equal relation types and
-    matching on both endpoints.
+    matching on both endpoints. Papers come year descending, then by
+    paper_id.
     """
     hits: dict[str, int] = {}
     for candidate in index.candidate_keys(key):
         if _keys_match(key, candidate):
             for ref in index.postings[candidate]:
                 hits[ref.paper_id] = ref.year
-    return ElementMatch(key, _sorted_refs(PaperRef(p, y) for p, y in hits.items()))
+    refs = (PaperRef(p, y) for p, y in hits.items())
+    return tuple(sorted(refs, key=lambda r: (-r.year, r.paper_id)))
 
 
 def _mention_count(kg: KnowledgeGraph, key: ElementKey) -> int:
@@ -238,7 +192,7 @@ def tfidf(index: BackgroundIndex, key: ElementKey, paper_kg: KnowledgeGraph) -> 
         raise PreconditionViolation(f"element not in paper graph: {key}")
     counts = {k: _mention_count(paper_kg, k) for k in keys}
     tf_norm = counts[key] / max(counts.values())
-    df_eff = len(match_element(index, key).papers)
+    df_eff = len(match_element(index, key))
     n = index.n_papers
     if df_eff == 0 or n <= 1:
         idf_norm = 1.0
@@ -335,6 +289,11 @@ def load_index(path: str | Path) -> BackgroundIndex:
         year_counts = {int(y): c for y, c in header["year_counts"].items()}
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed header fields: {exc}") from exc
+    for year, count in year_counts.items():
+        if type(count) is not int or count < 1 or year >= cutoff_year:
+            raise ParseError(f"{path}: bad year count {year}: {count!r}")
+    if n_papers != sum(year_counts.values()):
+        raise ParseError(f"{path}: n_papers {n_papers} is not the sum of year_counts")
     num_keys = header.get("num_keys")
     body = lines[1:]
     if len(body) != num_keys:

@@ -104,18 +104,12 @@ class IEAnnotations:
     """Mentions, coreference clusters, and relations from the IE system.
 
     Mentions not covered by any explicit cluster form implicit singleton
-    clusters; ``cluster_of`` exposes the full partition.
+    clusters.
     """
 
     mentions: tuple[Mention, ...]
     clusters: tuple[tuple[int, ...], ...]
     relations: tuple[RelationAnnotation, ...]
-
-    def cluster_of(self, mention_id: int) -> tuple[int, ...]:
-        for cluster in self.clusters:
-            if mention_id in cluster:
-                return cluster
-        return (mention_id,)
 
 
 @dataclass(frozen=True)
@@ -131,9 +125,6 @@ class PaperRecord:
     annotations: IEAnnotations = field(
         default_factory=lambda: IEAnnotations((), (), ())
     )
-
-    def sentence(self, section: SectionKind, index: int) -> Sentence:
-        return self.sections[section][index]
 
 
 @dataclass(frozen=True)

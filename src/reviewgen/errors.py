@@ -14,11 +14,7 @@ class ValidationError(ReviewgenError):
 
 
 class CutoffMismatchError(ReviewgenError):
-    """Two background indexes with different cutoff years cannot be merged."""
-
-
-class OverlappingPapersError(ReviewgenError):
-    """Two background indexes share contributing papers and cannot be merged."""
+    """A background index cannot be widened to a later cutoff year."""
 
 
 class PreconditionViolation(ReviewgenError):

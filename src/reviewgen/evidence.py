@@ -90,6 +90,15 @@ def extract_summary(gp: KnowledgeGraph) -> KnowledgeGraph:
     return KnowledgeGraph(gp.paper_id, gp.scope, entities, edges)
 
 
+def _novelty_candidates(gp: KnowledgeGraph, include_generic: bool) -> list[ElementKey]:
+    if include_generic:
+        return elements(gp)
+    generic_reps = {
+        e.representative for e in gp.entities if e.entity_type is EntityType.GENERIC
+    }
+    return [k for k in elements(gp) if k.is_edge or k.head not in generic_reps]
+
+
 def extract_novelty(
     gp: KnowledgeGraph,
     index: BackgroundIndex,
@@ -100,16 +109,11 @@ def extract_novelty(
     Node keys of generic-typed entities are excluded by default ("it",
     "this method" would otherwise dominate the counts).
     """
-    generic_reps = {
-        e.representative for e in gp.entities if e.entity_type is EntityType.GENERIC
-    }
-    out = []
-    for key in elements(gp):
-        if not include_generic and not key.is_edge and key.head in generic_reps:
-            continue
-        if not match_element(index, key).papers:
-            out.append(key)
-    return out
+    return [
+        key
+        for key in _novelty_candidates(gp, include_generic)
+        if not match_element(index, key)
+    ]
 
 
 def extract_comparison(
@@ -128,14 +132,14 @@ def extract_comparison(
     """
     covered: set[str] = set()
     for key in elements(grel):
-        covered.update(ref.paper_id for ref in match_element(index, key).papers)
+        covered.update(ref.paper_id for ref in match_element(index, key))
 
     entries = []
     for key in elements(gp):
         score = tfidf(index, key, gp)
         if score <= TFIDF_THRESHOLD:
             continue
-        matched = match_element(index, key).papers
+        matched = match_element(index, key)
         uncited = tuple(
             ref
             for ref in matched
@@ -213,18 +217,29 @@ def novelty_timeline(
     corpus: list[PaperRecord],
     years: list[int],
 ) -> NoveltyTimeline:
-    """Mean new-element count of ``papers`` per background cutoff year."""
+    """Mean new-element count of ``papers`` per background cutoff year.
+
+    One index at the last cutoff serves every year: an element is new at
+    cutoff Y when none of its matched papers is older than Y, which is
+    what matching against ``restrict(index, Y)`` would find.
+    """
     if any(b <= a for a, b in zip(years, years[1:])):
         raise ValueError("years must be strictly increasing")
     if not papers:
         raise ValueError("papers must be non-empty")
-    graphs = [build_kg(p, TARGET_SCOPE) for p in papers]
-    entries = []
-    for year in years:
-        index = build_index(corpus, year)
-        counts = [len(extract_novelty(g, index)) for g in graphs]
-        entries.append((year, sum(counts) / len(counts)))
-    return NoveltyTimeline(tuple(entries))
+    if not years:
+        return NoveltyTimeline(())
+    index = build_index(corpus, years[-1])
+    # per candidate element: the year of its oldest matched paper, or the
+    # last cutoff when nothing matches (new at every cutoff)
+    oldest = []
+    for paper in papers:
+        for key in _novelty_candidates(build_kg(paper, TARGET_SCOPE), False):
+            refs = match_element(index, key)  # year descending
+            oldest.append(refs[-1].year if refs else years[-1])
+    return NoveltyTimeline(
+        tuple((y, sum(o >= y for o in oldest) / len(papers)) for y in years)
+    )
 
 
 def format_timeline(timeline: NoveltyTimeline) -> str:

@@ -235,7 +235,10 @@ def _decode_array(obj: dict, name: str) -> np.ndarray:
         raise ParseError(
             f"model tensor {name!r}: {len(raw)} bytes, expected {expected}"
         )
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(arr).all():
+        raise ParseError(f"model tensor {name!r} has non-finite values")
+    return arr
 
 
 def save_model(model: ScoreModel, path: str | Path) -> None:
@@ -285,6 +288,8 @@ def load_model(path: str | Path) -> ScoreModel:
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"model file {path} is missing fields: {exc}") from exc
+    if max_seq_len < 1:
+        raise ParseError(f"model file {path}: max_seq_len {max_seq_len} is below 1")
     params = ModelParams(**arrays)
     params.check_shapes()
     return ScoreModel(params=params, vocab=vocab, max_seq_len=max_seq_len)

@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 import random
 
+from reviewgen.background import build_index
 from reviewgen.corpus import PaperRecord, parse_paper
+from reviewgen.evidence import extract_novelty
 from reviewgen.kg import TARGET_SCOPE, ElementKey, build_kg, elements
 
 # Containment chains ("parser" in "neural parser" in "fast neural parser")
@@ -270,6 +272,19 @@ def oracle_novelty(
             continue
         out.append(key)
     return out
+
+
+def oracle_timeline(
+    papers: list[PaperRecord], background: list[PaperRecord], years: list[int]
+) -> tuple[tuple[int, float], ...]:
+    """Per-year rebuild: a fresh index and fresh novelty at every cutoff."""
+    graphs = [build_kg(p, TARGET_SCOPE) for p in papers]
+    entries = []
+    for year in years:
+        index = build_index(background, year)
+        counts = [len(extract_novelty(g, index)) for g in graphs]
+        entries.append((year, sum(counts) / len(counts)))
+    return tuple(entries)
 
 
 def oracle_tfidf(tf_count: int, max_count: int, df: int, n_papers: int) -> float:

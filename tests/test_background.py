@@ -13,7 +13,6 @@ from reviewgen.background import (
     build_index,
     load_index,
     match_element,
-    merge,
     restrict,
     save_index,
     tfidf,
@@ -22,7 +21,6 @@ from reviewgen.corpus import parse_paper
 from reviewgen.errors import (
     CutoffMismatchError,
     FormatVersionError,
-    OverlappingPapersError,
     ParseError,
     PreconditionViolation,
 )
@@ -71,7 +69,7 @@ class TestBuildIndex:
         index = build_index([tiny_paper("A", 2016)], 2018)
         assert index.n_papers == 1
         assert len(index.postings) == 3
-        assert all(df == 1 for df in index.df.values())
+        assert all(len(refs) == 1 for refs in index.postings.values())
         assert index.year_counts == {2016: 1}
 
     def test_paper_with_no_elements_still_counted(self):
@@ -113,44 +111,14 @@ class TestBuildIndex:
                 continue
             for key in set(elements(build_kg(paper, TARGET_SCOPE))):
                 recount.setdefault(key, set()).add(paper.paper_id)
-        assert {k: len(v) for k, v in recount.items()} == index.df
+        assert {k: len(v) for k, v in recount.items()} == {
+            k: len(refs) for k, refs in index.postings.items()
+        }
 
     def test_input_order_does_not_matter(self, corpus):
         shuffled = list(corpus)
         random.Random(3).shuffle(shuffled)
         assert build_index(shuffled, 2018) == build_index(corpus, 2018)
-
-
-class TestMerge:
-    def test_merge_with_empty_is_identity(self, corpus):
-        full = build_index(corpus, 2018)
-        empty = build_index([], 2018)
-        assert merge(full, empty) == full
-        assert merge(empty, full) == full
-
-    def test_commutative(self, corpus):
-        a = build_index(corpus[:6], 2018)
-        b = build_index(corpus[6:], 2018)
-        assert merge(a, b) == merge(b, a)
-
-    def test_three_shards_equal_unsharded(self):
-        rng = random.Random(17)
-        papers = build_random_corpus(rng, 15)
-        whole = build_index(papers, 2018)
-        sharded = merge(
-            merge(build_index(papers[:5], 2018), build_index(papers[5:10], 2018)),
-            build_index(papers[10:], 2018),
-        )
-        assert sharded == whole
-
-    def test_overlapping_papers_rejected(self, corpus):
-        a = build_index(corpus[:6], 2018)
-        with pytest.raises(OverlappingPapersError):
-            merge(a, a)
-
-    def test_cutoff_mismatch_rejected(self, corpus):
-        with pytest.raises(CutoffMismatchError):
-            merge(build_index(corpus, 2018), build_index([], 2017))
 
 
 class TestRestrict:
@@ -178,13 +146,12 @@ class TestMatchElement:
     def test_containment_query(self):
         index = build_index([tiny_paper("A", 2015)], 2018)
         # "cnn" is indexed; a longer query containing it matches
-        match = match_element(index, ElementKey.node(("deep", "cnn")))
-        assert [ref.paper_id for ref in match.papers] == ["A"]
+        refs = match_element(index, ElementKey.node(("deep", "cnn")))
+        assert [ref.paper_id for ref in refs] == ["A"]
 
     def test_empty_index(self):
         index = build_index([], 2018)
-        match = match_element(index, ElementKey.node(("anything",)))
-        assert match.papers == ()
+        assert match_element(index, ElementKey.node(("anything",))) == ()
 
     def test_edge_requires_same_relation(self):
         from reviewgen.corpus import RelationType
@@ -198,7 +165,7 @@ class TestMatchElement:
             index,
             ElementKey.edge(("cnn",), RelationType.COMPARE, ("tagging",)),
         )
-        assert len(hit.papers) == 1 and miss.papers == ()
+        assert len(hit) == 1 and miss == ()
 
     def test_matches_brute_force_scan(self):
         """Oracle: linear scan of every posting, no candidate index."""
@@ -221,14 +188,14 @@ class TestMatchElement:
                     key=lambda r: (-r.year, r.paper_id),
                 )
             )
-            assert match_element(index, query).papers == want
+            assert match_element(index, query) == want
 
     def test_result_ordering(self, corpus, index2018):
-        match = match_element(
+        refs = match_element(
             index2018, ElementKey.node(("neural", "machine", "translation"))
         )
-        assert [ref.paper_id for ref in match.papers] == ["P08", "P05", "P01"]
-        years = [ref.year for ref in match.papers]
+        assert [ref.paper_id for ref in refs] == ["P08", "P05", "P01"]
+        years = [ref.year for ref in refs]
         assert years == sorted(years, reverse=True)
 
 
@@ -367,6 +334,31 @@ class TestPersistence:
         lines[1] = json.dumps(row) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ParseError, match="not before cutoff 2018"):
+            load_index(path)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"year_counts": {"2016": "2"}},  # a string count
+            {"year_counts": {"2016": 0}},
+            {"year_counts": {"2018": 1}},  # a year at the cutoff
+            {"n_papers": 111},  # 100 above sum(year_counts)
+            {"n_papers": 10},
+        ],
+    )
+    def test_bad_header_counts_rejected(self, index2018, tmp_path, change):
+        path = tmp_path / "bg.json"
+        save_index(index2018, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        header = json.loads(lines[0])
+        for field, value in change.items():
+            if field == "year_counts":
+                header[field].update(value)
+            else:
+                header[field] = value
+        lines[0] = json.dumps(header) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ParseError, match="year count|n_papers"):
             load_index(path)
 
     def test_foreign_file_rejected(self, tmp_path):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import base64
 import json
+import shutil
+import struct
 
 import pytest
 
@@ -208,6 +211,46 @@ class TestReview:
         )
         assert result.returncode == 3
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("mutation", ["string year count", "n_papers too high"])
+    def test_bad_index_header_is_artifact_error(self, trained, tmp_path, mutation):
+        lines = trained["index"].read_text(encoding="utf-8").splitlines(keepends=True)
+        header = json.loads(lines[0])
+        if mutation == "string year count":
+            header["year_counts"] = {y: str(c) for y, c in header["year_counts"].items()}
+        else:
+            header["n_papers"] += 100
+        lines[0] = json.dumps(header) + "\n"
+        index = tmp_path / "bg.json"
+        index.write_text("".join(lines), encoding="utf-8")
+        # P05 (2014) is older than the cutoff, so its review restricts the index
+        result = run_cli(
+            "review", PAPERS / "P05.json", "--index", index,
+            "--models", trained["models"],
+        )
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("mutation", ["max_seq_len 0", "NaN tensor"])
+    def test_bad_model_is_artifact_error(self, trained, tmp_path, mutation):
+        models = tmp_path / "models"
+        shutil.copytree(trained["models"], models)
+        path = models / "novelty.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        if mutation == "max_seq_len 0":
+            payload["max_seq_len"] = 0
+        else:
+            tensor = payload["params"]["b_out"]
+            raw = bytearray(base64.b64decode(tensor["data"]))
+            raw[:8] = struct.pack("<d", float("nan"))
+            tensor["data"] = base64.b64encode(bytes(raw)).decode("ascii")
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        result = run_cli(
+            "review", PAPERS / "P12.json", "--index", trained["index"],
+            "--models", models, "--format", "json",
+        )
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr and result.stdout == ""
 
     def test_corrupt_paper_arg(self, trained, tmp_path):
         bad = tmp_path / "paper.json"

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+import reviewgen.evidence
 from reviewgen.background import build_index
 from reviewgen.corpus import RelationType, parse_paper
 from reviewgen.evidence import (
@@ -23,7 +24,12 @@ from reviewgen.evidence import (
 )
 from reviewgen.kg import RELATED_SCOPE, TARGET_SCOPE, build_kg, edge_key, elements
 
-from synth import build_random_corpus, build_random_paper, oracle_novelty
+from synth import (
+    build_random_corpus,
+    build_random_paper,
+    oracle_novelty,
+    oracle_timeline,
+)
 
 from conftest import golden
 
@@ -336,6 +342,34 @@ class TestNoveltyTimeline:
                                         [2011, 2013, 2015, 2017])
             means = [m for _, m in timeline.entries]
             assert all(b <= a for a, b in zip(means, means[1:]))
+
+    def test_equals_per_year_rebuild_on_random_corpora(self):
+        rng = random.Random(23)
+        for _ in range(10):
+            corpus = build_random_corpus(rng, rng.randint(0, 12))
+            papers = [
+                build_random_paper(rng, paper_id=f"T{i}", year=2018, max_mentions=8)
+                for i in range(rng.randint(1, 3))
+            ] + rng.sample(corpus, min(len(corpus), 2))
+            # the first year is never after the earliest corpus year (2010)
+            start = rng.randint(2006, 2010)
+            years = sorted({start} | set(rng.sample(range(start, 2020), 4)))
+            got = novelty_timeline(papers, corpus, years)
+            assert got.entries == oracle_timeline(papers, corpus, years)
+
+    def test_builds_one_index_at_the_last_year(self, corpus, papers, monkeypatch):
+        cutoffs = []
+
+        def counting_build_index(corpus, cutoff_year, *args, **kwargs):
+            cutoffs.append(cutoff_year)
+            return build_index(corpus, cutoff_year, *args, **kwargs)
+
+        monkeypatch.setattr(reviewgen.evidence, "build_index", counting_build_index)
+        novelty_timeline([papers["P12"]], corpus, list(range(2012, 2019)))
+        assert cutoffs == [2018]
+
+    def test_empty_years_give_empty_timeline(self, corpus, papers):
+        assert novelty_timeline([papers["P12"]], corpus, []).entries == ()
 
     def test_years_must_increase(self, corpus, papers):
         with pytest.raises(ValueError):

@@ -260,6 +260,25 @@ class TestPersistence:
         with pytest.raises(ParseError):
             load_model(path)
 
+    @pytest.mark.parametrize("max_seq_len", [0, -1])
+    def test_max_seq_len_below_one_rejected(self, tmp_path, max_seq_len):
+        path = tmp_path / "m.json"
+        save_model(self.trained_model(), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["max_seq_len"] = max_seq_len
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ParseError, match="max_seq_len"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, value):
+        model = self.trained_model()
+        model.params.w_out[0, 0] = value
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        with pytest.raises(ParseError, match="non-finite"):
+            load_model(path)
+
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"format": "other", "version": 1}', encoding="utf-8")
