@@ -12,14 +12,18 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
-from reviewgen.corpus import PaperRecord, RelationType, SectionKind
+from reviewgen.corpus import (
+    PaperRecord,
+    RelationType,
+    SectionKind,
+    _read_text,
+    _write_atomic,
+)
 from reviewgen.errors import (
     CutoffMismatchError,
     FormatVersionError,
@@ -208,7 +212,9 @@ def _key_to_fields(key: ElementKey) -> list:
 
 
 def _key_from_fields(fields: list, locus: str) -> ElementKey:
-    def tokens(text: str) -> NormalizedString:
+    def tokens(text: object) -> NormalizedString:
+        if not isinstance(text, str):
+            raise ParseError(f"{locus}: element text {text!r} is not a string")
         parts = tuple(text.split(" "))
         if not all(parts):
             raise ParseError(f"{locus}: empty token in element key")
@@ -250,27 +256,13 @@ def save_index(index: BackgroundIndex, path: str | Path) -> None:
             [[ref.paper_id, ref.year] for ref in index.postings[key]]
         ]
         lines.append(json.dumps(row, ensure_ascii=False))
-    data = "\n".join(lines) + "\n"
-
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_index(path: str | Path) -> BackgroundIndex:
     """Read an index file; truncated or malformed files never yield a partial index."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read file: {exc}") from exc
-    lines = text.splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise FormatVersionError(f"{path}: empty index file")
     try:
@@ -295,6 +287,8 @@ def load_index(path: str | Path) -> BackgroundIndex:
     if n_papers != sum(year_counts.values()):
         raise ParseError(f"{path}: n_papers {n_papers} is not the sum of year_counts")
     num_keys = header.get("num_keys")
+    if type(num_keys) is not int:
+        raise ParseError(f"{path}: num_keys must be an integer, got {num_keys!r}")
     body = lines[1:]
     if len(body) != num_keys:
         raise ParseError(
@@ -319,7 +313,7 @@ def load_index(path: str | Path) -> BackgroundIndex:
                 not isinstance(ref, list)
                 or len(ref) != 2
                 or not isinstance(ref[0], str)
-                or not isinstance(ref[1], int)
+                or type(ref[1]) is not int
             ):
                 raise ParseError(f"{locus}: malformed posting {ref!r}")
             if ref[1] >= cutoff_year:

@@ -32,7 +32,7 @@ from reviewgen.corpus import (
     target_scores,
 )
 from reviewgen.errors import (
-    MissingModelError,
+    EmptyDatasetError,
     ParseError,
     ReviewgenError,
     ValidationError,
@@ -67,77 +67,34 @@ from reviewgen.scoring import (
 GRAD_TOLERANCE = 1e-4
 
 
-class _CliError(Exception):
-    """Carries an exit code and a message for main() to report."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+class _ArtifactError(Exception):
+    """An index or model file is missing or unreadable (exit code 3)."""
 
 
-def _fail_input(message: str) -> _CliError:
-    return _CliError(2, message)
+def _load_artifact(loader, path):
+    """Call ``loader(path)``, reporting any failure as a bad artifact.
 
-
-def _fail_artifact(message: str) -> _CliError:
-    return _CliError(3, message)
-
-
-def _load_corpus(directory: str) -> list[PaperRecord]:
+    Callers pass the loader by name at call time, so a loader rebound on
+    this module (for tracing) is the one that runs.
+    """
     try:
-        return load_corpus(directory)
-    except (ReviewgenError, OSError) as exc:
-        raise _fail_input(f"cannot load corpus: {exc}") from exc
-
-
-def _load_paper(path: str) -> PaperRecord:
-    try:
-        return load_paper(path)
-    except (ReviewgenError, OSError) as exc:
-        raise _fail_input(f"cannot load paper: {exc}") from exc
+        return loader(path)
+    except ReviewgenError as exc:
+        raise _ArtifactError(f"cannot load {path}: {exc}") from exc
 
 
 def _load_labels(path: str) -> list[ReviewLabels]:
-    try:
-        labels = load_review_labels(path)
-    except (ReviewgenError, OSError) as exc:
-        raise _fail_input(f"cannot load labels: {exc}") from exc
+    labels = load_review_labels(path)
     if not labels:
-        raise _fail_input(f"labels file {path} contains no entries")
+        raise ValidationError(f"labels file {path} contains no entries")
     return labels
 
 
-def _load_index(path: str) -> BackgroundIndex:
-    if not Path(path).exists():
-        raise _fail_artifact(f"index file not found: {path}")
-    try:
-        return load_index(path)
-    except ReviewgenError as exc:
-        raise _fail_artifact(f"cannot load index: {exc}") from exc
-
-
-def _load_templates(path: str | None):
-    if path is None:
-        return default_templates()
-    try:
-        return load_templates(path)
-    except (ReviewgenError, OSError) as exc:
-        raise _fail_input(f"cannot load templates: {exc}") from exc
-
-
 def _load_models(model_dir: str) -> dict[Category, ScoreModel]:
-    models = {}
-    for category in SCOREABLE_CATEGORIES:
-        path = Path(model_dir) / f"{category.value}.json"
-        try:
-            models[category] = load_model(path)
-        except MissingModelError as exc:
-            raise _fail_artifact(
-                f"missing model for category: {category.value}"
-            ) from exc
-        except ReviewgenError as exc:
-            raise _fail_artifact(f"cannot load model {path}: {exc}") from exc
-    return models
+    return {
+        category: _load_artifact(load_model, Path(model_dir) / f"{category.value}.json")
+        for category in SCOREABLE_CATEGORIES
+    }
 
 
 def _paper_index(
@@ -175,33 +132,25 @@ def _category_dataset(
 
 
 def cmd_build_background(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args.corpus)
-    try:
-        index = build_index(corpus, args.cutoff)
-    except (ReviewgenError, ValueError) as exc:
-        raise _fail_input(f"cannot build index: {exc}") from exc
+    index = build_index(load_corpus(args.corpus), args.cutoff)
     save_index(index, args.index)
     print(f"papers {index.n_papers} elements {len(index.postings)}")
     return 0
 
 
 def cmd_review(args: argparse.Namespace) -> int:
-    paper = _load_paper(args.paper)
-    index = _paper_index(_load_index(args.index), paper, args.cutoff)
+    paper = load_paper(args.paper)
+    index = _paper_index(_load_artifact(load_index, args.index), paper, args.cutoff)
     models = _load_models(args.models)
-    templates = _load_templates(args.templates)
+    if args.templates is None:
+        templates = default_templates()
+    else:
+        templates = load_templates(args.templates)
     bundle = build_bundle(paper, index)
     report = predict_scores(paper, bundle, models)
     doc = assemble(paper.paper_id, report, bundle, templates)
     sys.stdout.write(render(doc, args.format))
     return 0
-
-
-def _train_config(args: argparse.Namespace) -> TrainConfig:
-    try:
-        return TrainConfig(seed=args.seed, epochs=args.epochs, learning_rate=args.lr)
-    except ValueError as exc:
-        raise _fail_input(str(exc)) from exc
 
 
 def _prepare_labeled(
@@ -213,7 +162,7 @@ def _prepare_labeled(
     by_id = {lab.paper_id: lab for lab in labels}
     papers = [p for p in corpus if p.paper_id in by_id]
     if not papers:
-        raise _fail_input("no corpus paper matches any labels entry")
+        raise ValidationError("no corpus paper matches any labels entry")
     bundles = {}
     targets = {}
     for paper in papers:
@@ -225,10 +174,10 @@ def _prepare_labeled(
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args.corpus)
+    corpus = load_corpus(args.corpus)
     labels = _load_labels(args.labels)
-    index = _load_index(args.index)
-    config = _train_config(args)
+    index = _load_artifact(load_index, args.index)
+    config = TrainConfig(seed=args.seed, epochs=args.epochs, learning_rate=args.lr)
     papers, bundles, targets = _prepare_labeled(corpus, labels, index, args.cutoff)
 
     model_dir = Path(args.models)
@@ -243,7 +192,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             papers, bundles, targets, category, vocab, config.max_seq_len
         )
         if not dataset:
-            raise _fail_input(f"no labeled examples for category {category.value}")
+            raise ValidationError(f"no labeled examples for category {category.value}")
         params = train(
             dataset,
             len(vocab),
@@ -258,9 +207,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args.corpus)
+    corpus = load_corpus(args.corpus)
     labels = _load_labels(args.labels)
-    index = _load_index(args.index)
+    index = _load_artifact(load_index, args.index)
     models = _load_models(args.models)
     papers, bundles, targets = _prepare_labeled(corpus, labels, index, args.cutoff)
 
@@ -275,10 +224,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
         for category in SCOREABLE_CATEGORIES
     }
-    try:
-        metrics = evaluate(models, dataset)
-    except ReviewgenError as exc:
-        raise _fail_input(str(exc)) from exc
+    metrics = evaluate(models, dataset)
     for category in SCOREABLE_CATEGORIES:
         m = metrics[category]
         print(f"{category.value} accuracy {m.accuracy:.4f} mse {m.mse:.4f}")
@@ -290,20 +236,16 @@ def _parse_years(text: str) -> list[int]:
     try:
         start, end = int(first), int(last)
     except ValueError:
-        raise _fail_input(f"--years must look like 2010..2018, got {text!r}")
+        raise ValidationError(f"--years must look like 2010..2018, got {text!r}")
     if not sep or start > end:
-        raise _fail_input(f"invalid year range {text!r}")
+        raise ValidationError(f"invalid year range {text!r}")
     return list(range(start, end + 1))
 
 
 def cmd_novelty_timeline(args: argparse.Namespace) -> int:
     years = _parse_years(args.years)
-    papers = [_load_paper(p) for p in args.papers]
-    corpus = _load_corpus(args.corpus)
-    try:
-        timeline = novelty_timeline(papers, corpus, years)
-    except (ReviewgenError, ValueError) as exc:
-        raise _fail_input(str(exc)) from exc
+    papers = [load_paper(p) for p in args.papers]
+    timeline = novelty_timeline(papers, load_corpus(args.corpus), years)
     sys.stdout.write(format_timeline(timeline))
     return 0
 
@@ -312,10 +254,12 @@ def cmd_grad_check(args: argparse.Namespace) -> int:
     try:
         dims = tuple(int(d) for d in args.dims.split(","))
     except ValueError:
-        raise _fail_input(f"--dims must be four integers, got {args.dims!r}")
+        raise ValidationError(f"--dims must be four integers, got {args.dims!r}")
     if len(dims) != 4 or any(d < 1 for d in dims):
-        raise _fail_input(f"--dims must be four positive integers, got {args.dims!r}")
-    error = gradient_check(args.seed, dims=dims, perturb=args.inject_bug)
+        raise ValidationError(
+            f"--dims must be four positive integers, got {args.dims!r}"
+        )
+    error = gradient_check(args.seed, dims=dims)
     print(f"max relative error {error:.3e}")
     if error >= GRAD_TOLERANCE:
         print(
@@ -382,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grad-check", help="verify analytic gradients numerically")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dims", default="4,4,4,4", help="d_w,d_h,d_a,d_e")
-    p.add_argument("--inject-bug", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_grad_check)
 
     return parser
@@ -393,13 +336,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except MissingModelError as exc:
+    except _ArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ValidationError, ValueError, OSError) as exc:
+    except (ParseError, ValidationError, EmptyDatasetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ReviewgenError as exc:

@@ -10,6 +10,8 @@ unknown fields are rejected so format drift surfaces immediately.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -159,15 +161,32 @@ def _as_int(value, locus: str) -> int:
     return value
 
 
-def _load_json(path: str | Path):
+def _read_text(path: str | Path) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: cannot read file: {exc}") from exc
+
+
+def _load_json(path: str | Path):
+    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it over ``path``."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _parse_sections(raw: dict, locus: str) -> dict[SectionKind, tuple[Sentence, ...]]:

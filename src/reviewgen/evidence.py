@@ -188,15 +188,11 @@ def evidence_features(
     return features
 
 
-def build_bundle(
-    paper: PaperRecord,
-    index: BackgroundIndex,
-    include_generic: bool = False,
-) -> EvidenceBundle:
+def build_bundle(paper: PaperRecord, index: BackgroundIndex) -> EvidenceBundle:
     """Full evidence bundle for one paper against a background index."""
     gp = build_kg(paper, TARGET_SCOPE)
     grel = build_kg(paper, RELATED_SCOPE)
-    novelty_new = extract_novelty(gp, index, include_generic=include_generic)
+    novelty_new = extract_novelty(gp, index)
     comparison = extract_comparison(gp, grel, index, set(paper.citations))
     features = evidence_features(gp, novelty_new, comparison, index)
     surfaces = {e.representative: e.rep_surface for e in grel.entities}

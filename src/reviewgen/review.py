@@ -2,25 +2,22 @@
 document assembly, and JSON/Markdown rendering.
 
 Templates live in a user-editable JSON file with ``${SLOT}`` markers.
-Comment generation is a pure function of (evidence, scores, templates);
-the document timestamp is excluded from rendering and comparison so
-end-to-end output stays byte-reproducible.
+Comment generation is a pure function of (evidence, scores, templates),
+so end-to-end output stays byte-reproducible.
 """
 
 from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from reviewgen.corpus import Category, RelationType, SCOREABLE_CATEGORIES
+from reviewgen.corpus import Category, RelationType, SCOREABLE_CATEGORIES, _load_json
 from reviewgen.errors import (
-    ParseError,
     UnsupportedRelationError,
     ValidationError,
 )
@@ -103,9 +100,6 @@ class TemplateSet:
     categories: dict[Category, CategoryTemplates]
     relation_phrases: dict[RelationType, str]
     variant: int = 0  # index into each template pool; 0 = first
-
-    def for_category(self, category: Category) -> CategoryTemplates:
-        return self.categories[category]
 
 
 def _slot_names(template: str, locus: str) -> set[str]:
@@ -206,13 +200,7 @@ def parse_templates(raw: object) -> TemplateSet:
 
 
 def load_templates(path: str | Path) -> TemplateSet:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read template file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"template file {path} is not valid JSON: {exc}") from exc
-    return parse_templates(raw)
+    return parse_templates(_load_json(path))
 
 
 def default_templates() -> TemplateSet:
@@ -258,7 +246,7 @@ def generate_summary(
 ) -> list[str]:
     """Summary comment controlled by the overall recommendation score."""
     polarity = select_polarity(overall_score)
-    block = templates.for_category(Category.SUMMARY)
+    block = templates.categories[Category.SUMMARY]
     edges = sorted(summary.edges, key=lambda e: edge_key(summary, e).sort_key())
     realized = [
         realize_relation(e, summary, templates.relation_phrases)
@@ -278,7 +266,7 @@ def generate_novelty(
 ) -> list[str]:
     """Novelty comment: states the exact new-element count, lists up to 5."""
     polarity = select_polarity(score)
-    block = templates.for_category(Category.NOVELTY)
+    block = templates.categories[Category.NOVELTY]
     tpl = block.pick(polarity, empty=not novelty_new, variant=templates.variant)
     count = len(novelty_new)
     shown = [element_text(k, surfaces) for k in novelty_new[:MAX_NOVEL_ELEMENTS]]
@@ -297,7 +285,7 @@ def generate_comparison(
 ) -> list[str]:
     """Comparison comment naming uncited-paper recommendations per element."""
     polarity = select_polarity(score)
-    block = templates.for_category(Category.MEANINGFUL_COMPARISON)
+    block = templates.categories[Category.MEANINGFUL_COMPARISON]
     entries = comparison[:MAX_COMPARISON_ENTRIES]
     tpl = block.pick(polarity, empty=not entries, variant=templates.variant)
     clauses = []
@@ -315,19 +303,18 @@ def generate_generic(
     if category not in GENERIC_CATEGORIES:
         raise ValueError(f"{category.value} has its own generator")
     polarity = select_polarity(score)
-    block = templates.for_category(category)
+    block = templates.categories[category]
     return [_fill(block.pick(polarity, empty=False, variant=templates.variant),
                   SCORE=score)]
 
 
 @dataclass(frozen=True)
 class ReviewDocument:
-    """A complete generated review; the timestamp never enters comparisons."""
+    """A complete generated review."""
 
     paper_id: str
     scores: ScoreReport
     comments: dict[Category, list[str]]
-    generated_at: str = field(compare=False, default="")
 
 
 def assemble(
@@ -361,12 +348,7 @@ def assemble(
         comments[category] = generate_generic(
             category, scores.scores[category].score, templates
         )
-    return ReviewDocument(
-        paper_id=paper_id,
-        scores=scores,
-        comments=comments,
-        generated_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    )
+    return ReviewDocument(paper_id=paper_id, scores=scores, comments=comments)
 
 
 def _category_title(category: Category) -> str:
@@ -374,7 +356,7 @@ def _category_title(category: Category) -> str:
 
 
 def render(doc: ReviewDocument, fmt: str = "markdown") -> str:
-    """Canonical JSON or Markdown text; excludes the timestamp."""
+    """Canonical JSON or Markdown text."""
     if fmt == "json":
         payload = {
             "paper_id": doc.paper_id,

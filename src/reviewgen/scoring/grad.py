@@ -156,13 +156,8 @@ def gradient_check(
     num_classes: int = 5,
     vocab_size: int = 12,
     epsilon: float = 1e-5,
-    perturb: str | None = None,
 ) -> float:
-    """Run one seeded analytic-vs-numeric comparison; returns the max error.
-
-    ``perturb`` names a parameter block whose analytic gradient is
-    deliberately corrupted — a hook for verifying that the check can fail.
-    """
+    """Run one seeded analytic-vs-numeric comparison; returns the max error."""
     d_w, d_h, d_a, d_e = dims
     config = TrainConfig(d_w=d_w, d_h=d_h, d_a=d_a, d_e=d_e, seed=seed)
     params = init_params(vocab_size, config, num_classes)
@@ -173,7 +168,5 @@ def gradient_check(
     target = int(rng.integers(0, num_classes))
 
     analytic = backward(token_ids, features, target, params)
-    if perturb is not None:
-        analytic[perturb] = analytic[perturb] + 0.01
     numeric = finite_difference_grads(token_ids, features, target, params, epsilon)
     return max_relative_error(analytic, numeric)

@@ -96,13 +96,15 @@ class ModelParams:
     def num_classes(self) -> int:
         return self.w_out.shape[0]
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(**{name: arr.copy() for name, arr in self.items()})
-
     def zeros_like(self) -> dict[str, np.ndarray]:
         return {name: np.zeros_like(arr) for name, arr in self.items()}
 
     def check_shapes(self) -> None:
+        for name in ("embed", "w_z", "w_att", "w_ev", "w_out"):  # dims come from these
+            if getattr(self, name).ndim != 2:
+                raise ShapeMismatchError(
+                    f"{name}: expected a matrix, got shape {getattr(self, name).shape}"
+                )
         v, d_w, d_h = self.vocab_size, self.d_w, self.d_h
         d_a, d_e, c = self.d_a, self.d_e, self.num_classes
         expected = {

@@ -12,15 +12,19 @@ from __future__ import annotations
 import base64
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from reviewgen.corpus import Category, PaperRecord, SCOREABLE_CATEGORIES
+from reviewgen.corpus import (
+    Category,
+    PaperRecord,
+    SCOREABLE_CATEGORIES,
+    _load_json,
+    _write_atomic,
+)
 from reviewgen.errors import (
     EmptyDatasetError,
     FormatVersionError,
@@ -251,16 +255,7 @@ def save_model(model: ScoreModel, path: str | Path) -> None:
         "vocab": model.vocab.to_list(),
         "params": {name: _encode_array(arr) for name, arr in model.params.items()},
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    _write_atomic(Path(path), json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def load_model(path: str | Path) -> ScoreModel:
@@ -268,10 +263,7 @@ def load_model(path: str | Path) -> ScoreModel:
     path = Path(path)
     if not path.exists():
         raise MissingModelError(path.stem)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read model file {path}: {exc}") from exc
+    payload = _load_json(path)
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise FormatVersionError(f"{path} is not a score-model file")
     if payload.get("version") != MODEL_VERSION:
@@ -287,9 +279,19 @@ def load_model(path: str | Path) -> ScoreModel:
             for f in fields(ModelParams)
         }
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"model file {path} is missing fields: {exc}") from exc
+        raise ParseError(f"model file {path} is malformed: {exc}") from exc
     if max_seq_len < 1:
         raise ParseError(f"model file {path}: max_seq_len {max_seq_len} is below 1")
     params = ModelParams(**arrays)
     params.check_shapes()
+    if params.num_classes != NUM_SCORE_CLASSES:
+        raise ParseError(
+            f"model file {path}: {params.num_classes} classes, "
+            f"expected {NUM_SCORE_CLASSES}"
+        )
+    if len(vocab) != params.vocab_size:
+        raise ParseError(
+            f"model file {path}: {len(vocab)} vocab words for "
+            f"{params.vocab_size} embedding rows"
+        )
     return ScoreModel(params=params, vocab=vocab, max_seq_len=max_seq_len)

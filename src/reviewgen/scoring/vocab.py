@@ -58,4 +58,7 @@ class Vocab:
     def from_list(cls, tokens: list[str], min_count: int = 1) -> "Vocab":
         if tuple(tokens[:3]) != _SPECIALS:
             raise ValueError("vocab list must start with the reserved specials")
-        return cls(index={t: i for i, t in enumerate(tokens)}, min_count=min_count)
+        index = {t: i for i, t in enumerate(tokens)}
+        if len(index) != len(tokens) or not all(isinstance(t, str) for t in tokens):
+            raise ValueError("vocab list must hold distinct strings")
+        return cls(index=index, min_count=min_count)

@@ -11,6 +11,7 @@ import pytest
 
 import reviewgen
 from reviewgen import build_bundle, build_index, load_corpus, load_review_labels
+from reviewgen.scoring import grad
 
 TOY_DIR = Path(reviewgen.__file__).parent / "data" / "toy"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -28,6 +29,18 @@ def run_cli(*args: object, cwd: str | None = None) -> subprocess.CompletedProces
 
 def golden(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+def corrupted_backward(block):
+    """``backward`` with 0.01 added to the gradient of one parameter block."""
+    exact = grad.backward
+
+    def corrupted(*args, **kwargs):
+        grads = exact(*args, **kwargs)
+        grads[block] = grads[block] + 0.01
+        return grads
+
+    return corrupted
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,110 @@
+"""Mutation fuzzing of the artifacts that ``review`` reads.
+
+A mutated index or model file must give exit code 0 (the file is still
+valid) or 3 (bad artifact); any other code or an uncaught exception
+breaks the CLI's exit-code contract.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import shutil
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import TOY_DIR
+from reviewgen.cli import main
+
+# P05 (2014) is older than the index cutoff, so its review also restricts
+# the index.
+PAPER = TOY_DIR / "papers" / "P05.json"
+
+FUZZ = settings(max_examples=60, derandomize=True, deadline=None, database=None)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def mutate_json(data, node) -> None:
+    """Replace, delete or insert one value at a random depth of ``node``."""
+    while True:
+        keys = sorted(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            return
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        action = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+        if action == "delete":
+            del node[key]
+        elif action == "insert" and isinstance(node, list):
+            node.insert(key, data.draw(JSON_VALUES))
+        else:
+            node[key] = data.draw(JSON_VALUES)
+        return
+
+
+def review_exit_code(index, models) -> int:
+    argv = ["review", str(PAPER), "--index", str(index), "--models", str(models),
+            "--format", "json"]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory, trained):
+    root = tmp_path_factory.mktemp("fuzz")
+    shutil.copytree(trained["models"], root / "models")
+    return root
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_index_loads_or_exits_3(trained, workdir, data):
+    lines = trained["index"].read_bytes().splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    op = data.draw(
+        st.sampled_from(["json", "delete", "duplicate", "truncate", "bytes"])
+    )
+    if op == "json":
+        row = json.loads(lines[i])
+        mutate_json(data, row)
+        lines[i] = json.dumps(row).encode("utf-8")
+    elif op == "delete":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    elif op == "truncate":
+        lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i])))]
+    else:
+        at = data.draw(st.integers(0, len(lines[i])))
+        junk = data.draw(st.binary(min_size=1, max_size=4))
+        lines[i] = lines[i][:at] + junk + lines[i][at:]
+    index = workdir / "bg.json"
+    index.write_bytes(b"\n".join(lines) + b"\n")
+    assert review_exit_code(index, trained["models"]) in (0, 3)
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_model_loads_or_exits_3(trained, workdir, data):
+    text = (trained["models"] / "novelty.json").read_text(encoding="utf-8")
+    if data.draw(st.booleans()):
+        payload = json.loads(text)
+        mutate_json(data, payload)
+        text = json.dumps(payload)
+    else:
+        text = text[: data.draw(st.integers(0, len(text) - 1))]
+    (workdir / "models" / "novelty.json").write_text(text, encoding="utf-8")
+    assert review_exit_code(trained["index"], workdir / "models") in (0, 3)

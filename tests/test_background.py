@@ -324,6 +324,23 @@ class TestPersistence:
         with pytest.raises(ParseError, match="row must be an array"):
             load_index(path)
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            '["node", 5, [["P01", 2010]]]',
+            '["edge", "a b", "used_for", null, [["P01", 2010]]]',
+            '["node", "zzz unseen", [["P01", true]]]',
+        ],
+    )
+    def test_malformed_row_fields_rejected(self, index2018, tmp_path, row):
+        path = tmp_path / "bg.json"
+        save_index(index2018, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = row + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ParseError, match="not a string|malformed posting"):
+            load_index(path)
+
     @pytest.mark.parametrize("year", [2018, 2030])
     def test_posting_at_or_after_cutoff_rejected(self, index2018, tmp_path, year):
         path = tmp_path / "bg.json"
@@ -344,6 +361,8 @@ class TestPersistence:
             {"year_counts": {"2018": 1}},  # a year at the cutoff
             {"n_papers": 111},  # 100 above sum(year_counts)
             {"n_papers": 10},
+            {"num_keys": str},  # "47" once read "expected 47 ..., found 47"
+            {"num_keys": float},
         ],
     )
     def test_bad_header_counts_rejected(self, index2018, tmp_path, change):
@@ -354,11 +373,13 @@ class TestPersistence:
         for field, value in change.items():
             if field == "year_counts":
                 header[field].update(value)
+            elif field == "num_keys":
+                header[field] = value(header[field])
             else:
                 header[field] = value
         lines[0] = json.dumps(header) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
-        with pytest.raises(ParseError, match="year count|n_papers"):
+        with pytest.raises(ParseError, match="year count|n_papers|num_keys"):
             load_index(path)
 
     def test_foreign_file_rejected(self, tmp_path):

@@ -9,7 +9,9 @@ import struct
 
 import pytest
 
-from conftest import TOY_DIR, golden, run_cli
+from conftest import TOY_DIR, corrupted_backward, golden, run_cli
+from reviewgen.cli import main
+from reviewgen.scoring import grad
 
 PAPERS = TOY_DIR / "papers"
 LABELS = TOY_DIR / "labels.json"
@@ -76,10 +78,10 @@ class TestGradCheck:
         assert result.returncode == 0
         assert result.stdout.startswith("max relative error")
 
-    def test_injected_bug_detected(self):
-        result = run_cli("grad-check", "--seed", 3, "--inject-bug", "w_out")
-        assert result.returncode == 1
-        assert "check failed" in result.stderr or "error" in result.stderr
+    def test_injected_bug_detected(self, monkeypatch, capsys):
+        monkeypatch.setattr(grad, "backward", corrupted_backward("w_out"))
+        assert main(["grad-check", "--seed", "3"]) == 1
+        assert "gradient check failed" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -231,7 +233,18 @@ class TestReview:
         assert result.returncode == 3
         assert "Traceback" not in result.stderr
 
-    @pytest.mark.parametrize("mutation", ["max_seq_len 0", "NaN tensor"])
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            "max_seq_len 0",
+            "NaN tensor",
+            "duplicate vocab word",
+            "non-string vocab word",
+            "vocab longer than embed",
+            "flat embed",
+            "seven classes",
+        ],
+    )
     def test_bad_model_is_artifact_error(self, trained, tmp_path, mutation):
         models = tmp_path / "models"
         shutil.copytree(trained["models"], models)
@@ -239,6 +252,22 @@ class TestReview:
         payload = json.loads(path.read_text(encoding="utf-8"))
         if mutation == "max_seq_len 0":
             payload["max_seq_len"] = 0
+        elif mutation == "duplicate vocab word":
+            payload["vocab"][-1] = payload["vocab"][3]
+        elif mutation == "non-string vocab word":
+            payload["vocab"][-1] = 7
+        elif mutation == "vocab longer than embed":
+            payload["vocab"].append("zzz-unseen-word")
+        elif mutation == "flat embed":
+            shape = payload["params"]["embed"]["shape"]
+            payload["params"]["embed"]["shape"] = [shape[0] * shape[1]]
+        elif mutation == "seven classes":
+            for name in ("w_out", "b_out"):  # repeat the first two class rows
+                tensor = payload["params"][name]
+                raw = base64.b64decode(tensor["data"])
+                raw += raw[: len(raw) // 5 * 2]
+                tensor["data"] = base64.b64encode(raw).decode("ascii")
+                tensor["shape"][0] += 2
         else:
             tensor = payload["params"]["b_out"]
             raw = bytearray(base64.b64decode(tensor["data"]))
@@ -270,3 +299,56 @@ class TestUsage:
     def test_unknown_subcommand(self):
         result = run_cli("frobnicate")
         assert result.returncode == 2
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+NO_MATCH_LABELS = '[{"paper_id": "Z9", "reviews": [{"novelty": 3}]}]'
+EMPTY_REVIEW_LABELS = '[{"paper_id": "P01", "reviews": [{}]}]'
+
+# Failure paths no other test covers, each with its documented exit code;
+# the argv is built from the trained artifacts and a scratch directory.
+EXIT_CASES = {
+    "missing template file": (2, lambda t, d: [
+        "review", PAPERS / "P12.json", "--index", t["index"], "--models",
+        t["models"], "--templates", d / "none.json"]),
+    "malformed template file": (2, lambda t, d: [
+        "review", PAPERS / "P12.json", "--index", t["index"], "--models",
+        t["models"], "--templates", _write(d / "tpl.json", "{not json")]),
+    "train zero epochs": (2, lambda t, d: [
+        "train", LABELS, "--corpus", PAPERS, "--index", t["index"],
+        "--models", d / "m", "--epochs", "0"]),
+    "train labels match no paper": (2, lambda t, d: [
+        "train", _write(d / "l.json", NO_MATCH_LABELS),
+        "--corpus", PAPERS, "--index", t["index"], "--models", d / "m"]),
+    "evaluate labels match no paper": (2, lambda t, d: [
+        "evaluate", _write(d / "l.json", NO_MATCH_LABELS),
+        "--corpus", PAPERS, "--index", t["index"], "--models", t["models"]]),
+    "train only an empty review": (2, lambda t, d: [
+        "train", _write(d / "l.json", EMPTY_REVIEW_LABELS),
+        "--corpus", PAPERS, "--index", t["index"], "--models", d / "m"]),
+    "evaluate only an empty review": (2, lambda t, d: [
+        "evaluate", _write(d / "l.json", EMPTY_REVIEW_LABELS),
+        "--corpus", PAPERS, "--index", t["index"], "--models", t["models"]]),
+    "grad-check two dims": (2, lambda t, d: ["grad-check", "--dims", "1,2"]),
+    "index output in a missing directory": (2, lambda t, d: [
+        "build-background", "--corpus", PAPERS, "--cutoff", "2017",
+        "--index", d / "no" / "bg.json"]),
+    "corpus is a file": (2, lambda t, d: [
+        "build-background", "--corpus", LABELS, "--cutoff", "2017",
+        "--index", d / "bg.json"]),
+    "timeline of a malformed paper": (2, lambda t, d: [
+        "novelty-timeline", _write(d / "p.json", '{"paper_id": 1}'),
+        "--corpus", PAPERS, "--years", "2012..2013"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_exit_code(trained, tmp_path, capsys, case):
+    code, argv = EXIT_CASES[case]
+    assert main([str(a) for a in argv(trained, tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err

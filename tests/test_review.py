@@ -328,7 +328,7 @@ class TestAssembleRender:
         bundle = build_bundle(papers["P12"], index2018)
         a = assemble("P12", make_report(), bundle, default_templates())
         b = assemble("P12", make_report(), bundle, default_templates())
-        assert a == b  # generated_at is excluded from comparisons
+        assert a == b  # the document carries no wall-clock field
         assert render(a, "json") == render(b, "json")
         assert render(a, "markdown") == render(b, "markdown")
         assert "generated_at" not in render(a, "json")
