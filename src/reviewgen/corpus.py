@@ -177,16 +177,22 @@ def _load_json(path: str | Path):
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to a temp file beside ``path``, then rename it over ``path``."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    """Write ``text`` to a temp file beside ``path``, then rename it over ``path``.
+
+    An ``OSError`` names ``path``, never the temp file, which is removed.
+    """
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def _parse_sections(raw: dict, locus: str) -> dict[SectionKind, tuple[Sentence, ...]]:

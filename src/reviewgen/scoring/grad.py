@@ -1,10 +1,14 @@
 """Exact analytic gradients for the classifier, with a finite-difference check.
 
-The backward pass mirrors forward_trace step by step: softmax/cross-entropy
+The backward pass runs forward_trace in reverse: softmax/cross-entropy
 head, the evidence tanh layer, attention pooling, then backpropagation
-through time over the GRU unroll and into the embedding rows. The
-finite-difference harness perturbs every scalar parameter centrally and is
-the independent oracle for all of it.
+through time over the GRU unroll and into the embedding rows. Only the
+recurrent products with U_h^T and [U_z; U_r]^T stay inside the time loop,
+which records every step's gate deltas in one T x 3d_h array. The nine
+GRU weight and bias gradients and the input gradient dx = da [W_z; W_r; W_h]
+are then matrix products over all timesteps at once. The finite-difference
+harness perturbs every scalar parameter centrally and is the independent
+oracle for all of it; tests/synth.py keeps a step-by-step reference.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from reviewgen.scoring.model import (
     forward_trace,
     init_params,
     loss,
+    stacked_gate_params,
 )
 
 Gradients = dict[str, np.ndarray]
@@ -36,11 +41,10 @@ def backward(
     """Gradients of the cross-entropy loss w.r.t. every parameter block."""
     if trace is None:
         trace = forward_trace(token_ids, features, params)
-    grads = params.zeros_like()
     probs = trace.probs
-
     if probs[target] < PROB_FLOOR:
-        return grads  # loss is clamped flat here
+        return params.zeros_like()  # loss is clamped flat here
+    grads: Gradients = {}
 
     t_len = len(trace.token_ids)
     d_h = params.d_h
@@ -71,44 +75,35 @@ def backward(
     grads["w_att"] = dpre_att.T @ h_states
     d_hidden[1:] += dpre_att @ params.w_att
 
-    # GRU backpropagation through time
-    dx = np.zeros_like(trace.x)
+    # GRU backpropagation through time. The loop carries only the state
+    # gradient dh_t and records each step's gate deltas; the weight, bias
+    # and input gradients are matrix products over all steps after it.
+    w_in, _, u_zr = stacked_gate_params(params)
+    h_prev = trace.h[:-1]
+    z, r, h_tilde = trace.z, trace.r, trace.h_tilde
+    # da_h = dh_t * dh_gain, da_z = dh_t * dz_gain, da_r = (U_h^T da_h) * dr_gain
+    dh_gain = z * (1.0 - h_tilde**2)
+    dz_gain = (h_tilde - h_prev) * z * (1.0 - z)
+    dr_gain = h_prev * r * (1.0 - r)
+    carry = 1.0 - z
+    da = np.empty((t_len, 3 * d_h))  # [da_z | da_r | da_h] per step
+    da_zr, da_h = da[:, : 2 * d_h], da[:, 2 * d_h :]
     for s in range(t_len - 1, -1, -1):
-        dh_new = d_hidden[s + 1]
-        h_prev = trace.h[s]
-        z, r, h_tilde = trace.z[s], trace.r[s], trace.h_tilde[s]
+        dh = d_hidden[s + 1]
+        da_h[s] = dh * dh_gain[s]
+        d_rh = params.u_h.T @ da_h[s]
+        da_zr[s, :d_h] = dh * dz_gain[s]
+        da_zr[s, d_h:] = d_rh * dr_gain[s]
+        d_hidden[s] += dh * carry[s] + d_rh * r[s] + u_zr.T @ da_zr[s]
 
-        dh_tilde = dh_new * z
-        dz = dh_new * (h_tilde - h_prev)
-        dh_prev = dh_new * (1.0 - z)
-
-        da_h = dh_tilde * (1.0 - h_tilde**2)
-        grads["w_h"] += np.outer(da_h, trace.x[s])
-        grads["u_h"] += np.outer(da_h, r * h_prev)
-        grads["b_h"] += da_h
-        dx[s] += params.w_h.T @ da_h
-        d_rh = params.u_h.T @ da_h
-        dr = d_rh * h_prev
-        dh_prev += d_rh * r
-
-        da_z = dz * z * (1.0 - z)
-        grads["w_z"] += np.outer(da_z, trace.x[s])
-        grads["u_z"] += np.outer(da_z, h_prev)
-        grads["b_z"] += da_z
-        dx[s] += params.w_z.T @ da_z
-        dh_prev += params.u_z.T @ da_z
-
-        da_r = dr * r * (1.0 - r)
-        grads["w_r"] += np.outer(da_r, trace.x[s])
-        grads["u_r"] += np.outer(da_r, h_prev)
-        grads["b_r"] += da_r
-        dx[s] += params.w_r.T @ da_r
-        dh_prev += params.u_r.T @ da_r
-
-        d_hidden[s] += dh_prev
-
-    np.add.at(grads["embed"], np.asarray(trace.token_ids), dx)
-    return grads
+    d_w = params.d_w
+    grads["w_z"], grads["w_r"], grads["w_h"] = (da.T @ trace.x).reshape(3, d_h, d_w)
+    grads["b_z"], grads["b_r"], grads["b_h"] = da.sum(axis=0).reshape(3, d_h)
+    grads["u_z"], grads["u_r"] = (da_zr.T @ h_prev).reshape(2, d_h, d_h)
+    grads["u_h"] = da_h.T @ (r * h_prev)
+    grads["embed"] = np.zeros_like(params.embed)
+    np.add.at(grads["embed"], np.asarray(trace.token_ids), da @ w_in)
+    return {name: grads[name] for name, _ in params.items()}  # canonical order
 
 
 def finite_difference_grads(

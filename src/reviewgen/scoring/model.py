@@ -11,10 +11,18 @@ Gate equations (update z, reset r, candidate h~):
     r_t = sigmoid(W_r x_t + U_r h_{t-1} + b_r)
     h~_t = tanh(W_h x_t + U_h (r_t * h_{t-1}) + b_h)
     h_t = (1 - z_t) * h_{t-1} + z_t * h~_t
+
+The input terms W x_t + b of all three gates do not depend on the state, so
+forward_trace computes them for every timestep in one matrix product
+against the stacked [W_z; W_r; W_h] before the time loop. Each step then
+does only the recurrent work: one product with the stacked [U_z; U_r], one
+sigmoid over both gates, and U_h (r_t * h_{t-1}) (Appleyard et al.,
+arXiv:1604.01946).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
@@ -45,6 +53,10 @@ class TrainConfig:
         for name in ("d_w", "d_h", "d_a", "d_e", "epochs", "max_seq_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
 
 
 @dataclass
@@ -170,6 +182,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum()
 
 
+def stacked_gate_params(
+    params: ModelParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """[W_z; W_r; W_h] (3d_h x d_w), [b_z; b_r; b_h] and [U_z; U_r] (2d_h x d_h)."""
+    return (
+        np.concatenate([params.w_z, params.w_r, params.w_h]),
+        np.concatenate([params.b_z, params.b_r, params.b_h]),
+        np.concatenate([params.u_z, params.u_r]),
+    )
+
+
 @dataclass
 class ForwardTrace:
     """Intermediates cached by the forward pass for exact backprop."""
@@ -204,16 +227,16 @@ def forward_trace(
     t_len = len(token_ids)
     d_h = params.d_h
     x = params.embed[np.asarray(token_ids)]
+    w_in, b_in, u_zr = stacked_gate_params(params)
+    x_proj = x @ w_in.T + b_in  # T x 3d_h: W x_t + b for [z | r | h~]
+    x_zr, x_h = x_proj[:, : 2 * d_h], x_proj[:, 2 * d_h :]
     h = np.zeros((t_len + 1, d_h))
-    z = np.zeros((t_len, d_h))
-    r = np.zeros((t_len, d_h))
+    zr = np.zeros((t_len, 2 * d_h))
+    z, r = zr[:, :d_h], zr[:, d_h:]
     h_tilde = np.zeros((t_len, d_h))
     for t in range(t_len):
-        z[t] = sigmoid(params.w_z @ x[t] + params.u_z @ h[t] + params.b_z)
-        r[t] = sigmoid(params.w_r @ x[t] + params.u_r @ h[t] + params.b_r)
-        h_tilde[t] = np.tanh(
-            params.w_h @ x[t] + params.u_h @ (r[t] * h[t]) + params.b_h
-        )
+        zr[t] = sigmoid(x_zr[t] + u_zr @ h[t])
+        h_tilde[t] = np.tanh(x_h[t] + params.u_h @ (r[t] * h[t]))
         h[t + 1] = (1.0 - z[t]) * h[t] + z[t] * h_tilde[t]
 
     att_u = np.tanh(h[1:] @ params.w_att.T)  # T x d_a

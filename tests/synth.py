@@ -321,3 +321,81 @@ def make_separable_dataset(seed: int, n: int = 500):
         tokens = tuple(int(v) for v in rng.integers(0, 30, rng.integers(1, 4)))
         examples.append(TrainingExample(tokens, features, t))
     return examples
+
+
+def oracle_backward(trace, target: int, params) -> dict:
+    """Step-by-step backpropagation through time from a forward trace.
+
+    Every product is formed one timestep at a time, as outer products and
+    matrix-vector products accumulated in reverse time order; the library
+    instead batches the gate deltas of all steps into matrix products.
+    """
+    import numpy as np
+
+    from reviewgen.scoring.model import PROB_FLOOR
+
+    grads = params.zeros_like()
+    probs = trace.probs
+    if probs[target] < PROB_FLOOR:
+        return grads
+
+    t_len = len(trace.token_ids)
+    d_h = params.d_h
+    dlogits = probs.copy()
+    dlogits[target] -= 1.0
+    concat = np.concatenate([trace.context, trace.ev_hidden])
+    grads["w_out"] = np.outer(dlogits, concat)
+    grads["b_out"] = dlogits
+    dconcat = params.w_out.T @ dlogits
+    dcontext = dconcat[:d_h]
+    dpre_ev = dconcat[d_h:] * (1.0 - trace.ev_hidden**2)
+    grads["w_ev"] = np.outer(dpre_ev, trace.features)
+    grads["b_ev"] = dpre_ev
+
+    h_states = trace.h[1:]
+    d_hidden = np.zeros((t_len + 1, d_h))
+    dalpha = h_states @ dcontext
+    d_hidden[1:] += np.outer(trace.alpha, dcontext)
+    dscores = trace.alpha * (dalpha - float(trace.alpha @ dalpha))
+    grads["v_att"] = trace.att_u.T @ dscores
+    dpre_att = np.outer(dscores, params.v_att) * (1.0 - trace.att_u**2)
+    grads["w_att"] = dpre_att.T @ h_states
+    d_hidden[1:] += dpre_att @ params.w_att
+
+    dx = np.zeros_like(trace.x)
+    for s in range(t_len - 1, -1, -1):
+        dh_new = d_hidden[s + 1]
+        h_prev = trace.h[s]
+        z, r, h_tilde = trace.z[s], trace.r[s], trace.h_tilde[s]
+
+        dh_tilde = dh_new * z
+        dz = dh_new * (h_tilde - h_prev)
+        dh_prev = dh_new * (1.0 - z)
+
+        da_h = dh_tilde * (1.0 - h_tilde**2)
+        grads["w_h"] += np.outer(da_h, trace.x[s])
+        grads["u_h"] += np.outer(da_h, r * h_prev)
+        grads["b_h"] += da_h
+        dx[s] += params.w_h.T @ da_h
+        d_rh = params.u_h.T @ da_h
+        dr = d_rh * h_prev
+        dh_prev += d_rh * r
+
+        da_z = dz * z * (1.0 - z)
+        grads["w_z"] += np.outer(da_z, trace.x[s])
+        grads["u_z"] += np.outer(da_z, h_prev)
+        grads["b_z"] += da_z
+        dx[s] += params.w_z.T @ da_z
+        dh_prev += params.u_z.T @ da_z
+
+        da_r = dr * r * (1.0 - r)
+        grads["w_r"] += np.outer(da_r, trace.x[s])
+        grads["u_r"] += np.outer(da_r, h_prev)
+        grads["b_r"] += da_r
+        dx[s] += params.w_r.T @ da_r
+        dh_prev += params.u_r.T @ da_r
+
+        d_hidden[s] += dh_prev
+
+    np.add.at(grads["embed"], np.asarray(trace.token_ids), dx)
+    return grads

@@ -333,6 +333,12 @@ EXIT_CASES = {
     "evaluate only an empty review": (2, lambda t, d: [
         "evaluate", _write(d / "l.json", EMPTY_REVIEW_LABELS),
         "--corpus", PAPERS, "--index", t["index"], "--models", t["models"]]),
+    "train learning rate nan": (2, lambda t, d: [
+        "train", LABELS, "--corpus", PAPERS, "--index", t["index"],
+        "--models", d / "m", "--lr", "nan", "--epochs", "1"]),
+    "train negative learning rate": (2, lambda t, d: [
+        "train", LABELS, "--corpus", PAPERS, "--index", t["index"],
+        "--models", d / "m", "--lr", "-1", "--epochs", "1"]),
     "grad-check two dims": (2, lambda t, d: ["grad-check", "--dims", "1,2"]),
     "index output in a missing directory": (2, lambda t, d: [
         "build-background", "--corpus", PAPERS, "--cutoff", "2017",
@@ -352,3 +358,17 @@ def test_exit_code(trained, tmp_path, capsys, case):
     assert main([str(a) for a in argv(trained, tmp_path)]) == code
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["missing directory", "existing directory"])
+def test_failed_index_write_names_given_path(tmp_path, capsys, target):
+    """The error names the --index path, and no temp file is left behind."""
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    index = out_dir / "no" / "bg.json" if target == "missing directory" else out_dir
+    argv = ["build-background", "--corpus", str(PAPERS), "--cutoff", "2017",
+            "--index", str(index)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"'{index}'" in err and ".tmp" not in err
+    assert not list(tmp_path.rglob("*.tmp"))

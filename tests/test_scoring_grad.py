@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import corrupted_backward
+from synth import oracle_backward
 from reviewgen.scoring import grad
 from reviewgen.scoring.grad import (
     backward,
@@ -95,6 +96,50 @@ class TestBackward:
         np.testing.assert_allclose(
             base, numeric["embed"][1], rtol=0, atol=1e-7
         )
+
+
+def _random_dims(seed: int) -> tuple[int, int, int, int, int]:
+    """(d_w, d_h, d_a, d_e, seq_len) drawn from the seed."""
+    rng = np.random.default_rng([seed, 12])
+    d_w, d_h, d_a, d_e = (int(v) for v in rng.integers(1, 10, size=4))
+    return d_w, d_h, d_a, d_e, int(rng.integers(1, 25))
+
+
+# (d_w, d_h, d_a, d_e, seq_len, seed)
+ORACLE_CASES = [
+    (3, 4, 3, 2, 1, 0),  # T=1, d_w < d_h
+    (5, 2, 3, 4, 1, 1),  # T=1, d_w > d_h
+    *((*_random_dims(seed), seed) for seed in range(2, 8)),
+    (64, 128, 64, 32, 128, 8),  # default dimensions at the default max_seq_len
+]
+
+
+class TestOracleBackward:
+    """Batched gradients against the step-by-step BPTT in tests/synth.py."""
+
+    @pytest.mark.parametrize("d_w,d_h,d_a,d_e,seq_len,seed", ORACLE_CASES)
+    def test_matches_step_by_step(self, d_w, d_h, d_a, d_e, seq_len, seed):
+        config = TrainConfig(d_w=d_w, d_h=d_h, d_a=d_a, d_e=d_e, seed=seed)
+        rng = np.random.default_rng([seed, 11])
+        vocab_size = int(rng.integers(seq_len // 2 + 1, seq_len + 3))
+        params = init_params(vocab_size, config, 5)
+        for name in ("b_z", "b_r", "b_h", "b_ev", "b_out"):
+            arr = getattr(params, name)
+            arr[...] = rng.normal(scale=0.5, size=arr.shape)
+        token_ids = rng.integers(0, vocab_size, size=seq_len).tolist()
+        features = rng.normal(size=17)
+        target = int(rng.integers(0, 5))
+        trace = forward_trace(token_ids, features, params)
+
+        batched = backward(token_ids, features, target, params, trace)
+        expected = oracle_backward(trace, target, params)
+        assert sorted(batched) == sorted(expected)
+        for name in BLOCK_NAMES:
+            assert batched[name].shape == expected[name].shape, name
+            np.testing.assert_allclose(
+                batched[name], expected[name], rtol=0, atol=1e-12, err_msg=name
+            )
+        assert np.any(batched["w_z"] != 0.0) and np.any(batched["embed"] != 0.0)
 
 
 class TestMaxRelativeError:
