@@ -4,12 +4,15 @@ The index maps every knowledge element seen in pre-cutoff papers to the
 papers (with years) that contain it, and carries the paper counts needed
 for TF-IDF. Matching against the index is fuzzy: two elements match when
 their representatives contain one another (lifted to both endpoints for
-edges). A token-level hint index accelerates queries; the brute-force
-scan lives in the tests as the oracle.
+edges). Candidates come from two sides of that containment: the keys
+whose head holds the query head's rarest token cover every superstring,
+and exact-head lookups of the query head's contiguous sub-spans cover
+every substring. The brute-force scan lives in the tests as the oracle.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass
@@ -18,8 +21,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from reviewgen.corpus import (
+    _RELATION_BY_VALUE,
     PaperRecord,
-    RelationType,
     SectionKind,
     _read_text,
     _write_atomic,
@@ -66,25 +69,40 @@ class BackgroundIndex:
     postings: dict[ElementKey, tuple[PaperRef, ...]]
 
     @cached_property
-    def _hints(self) -> dict[str, dict[str, list[ElementKey]]]:
-        # token -> keys whose head contains the token, split by node/edge
-        hints: dict[str, dict[str, list[ElementKey]]] = {"node": {}, "edge": {}}
-        for key in self.postings:
-            by_token = hints["edge" if key.is_edge else "node"]
-            for token in set(key.head):
-                by_token.setdefault(token, []).append(key)
+    def _hints(self) -> dict[tuple[bool, str], list[ElementKey]]:
+        # (is_edge, token) -> keys whose head contains the token
+        hints: dict[tuple[bool, str], list[ElementKey]] = {}
+        for (is_edge, head), keys in self._by_head.items():
+            for token in set(head):
+                hints.setdefault((is_edge, token), []).extend(keys)
         return hints
 
+    @cached_property
+    def _by_head(self) -> dict[tuple[bool, NormalizedString], list[ElementKey]]:
+        # (is_edge, head) -> keys with exactly that head
+        by_head: dict[tuple[bool, NormalizedString], list[ElementKey]] = {}
+        for key in self.postings:
+            by_head.setdefault((key.is_edge, key.head), []).append(key)
+        return by_head
+
     def candidate_keys(self, key: ElementKey) -> list[ElementKey]:
-        """Posting keys that could match ``key``, superset of true matches."""
-        hints = self._hints["edge" if key.is_edge else "node"]
-        seen: set[ElementKey] = set()
-        out = []
-        for token in key.head:
-            for candidate in hints.get(token, ()):
-                if candidate not in seen:
-                    seen.add(candidate)
-                    out.append(candidate)
+        """Posting keys that could match ``key``, superset of true matches.
+
+        A matching head either contains the query head, and so its rarest
+        token, or is one of the query head's contiguous sub-spans.
+        """
+        is_edge, head = key.is_edge, key.head
+        hints, by_head = self._hints, self._by_head
+        lists = [hints.get((is_edge, token), ()) for token in head]
+        rarest = min(range(len(head)), key=lambda i: len(lists[i]))
+        out = list(lists[rarest])
+        spans = dict.fromkeys(
+            head[i:j] for i in range(len(head)) for j in range(i + 1, len(head) + 1)
+        )
+        for span in spans:
+            # spans holding the rarest token are already in its hint list
+            if head[rarest] not in span:
+                out.extend(by_head.get((is_edge, span), ()))
         return out
 
 
@@ -211,26 +229,37 @@ def _key_to_fields(key: ElementKey) -> list:
     return ["node", " ".join(key.head)]
 
 
-def _key_from_fields(fields: list, locus: str) -> ElementKey:
-    def tokens(text: object) -> NormalizedString:
-        if not isinstance(text, str):
-            raise ParseError(f"{locus}: element text {text!r} is not a string")
+def _tokens(
+    text: object, locus: str, interned: dict[str, NormalizedString]
+) -> NormalizedString:
+    if not isinstance(text, str):
+        raise ParseError(f"{locus}: element text {text!r} is not a string")
+    parts = interned.get(text)
+    if parts is None:
         parts = tuple(text.split(" "))
         if not all(parts):
             raise ParseError(f"{locus}: empty token in element key")
-        return parts
+        interned[text] = parts
+    return parts
 
-    if not isinstance(fields, list) or not fields:
+
+def _key_from_fields(
+    fields: list, locus: str, interned: dict[str, NormalizedString]
+) -> ElementKey:
+    if not fields:
         raise ParseError(f"{locus}: expected a non-empty array")
     kind = fields[0]
     if kind == "node" and len(fields) == 2:
-        return ElementKey.node(tokens(fields[1]))
+        return ElementKey(_tokens(fields[1], locus, interned))
     if kind == "edge" and len(fields) == 4:
-        try:
-            relation = RelationType(fields[2])
-        except ValueError as exc:
-            raise ParseError(f"{locus}: unknown relation {fields[2]!r}") from exc
-        return ElementKey.edge(tokens(fields[1]), relation, tokens(fields[3]))
+        relation = fields[2]
+        if not isinstance(relation, str) or relation not in _RELATION_BY_VALUE:
+            raise ParseError(f"{locus}: unknown relation {relation!r}")
+        return ElementKey(
+            _tokens(fields[1], locus, interned),
+            _RELATION_BY_VALUE[relation],
+            _tokens(fields[3], locus, interned),
+        )
     raise ParseError(f"{locus}: malformed element key {fields!r}")
 
 
@@ -260,7 +289,12 @@ def save_index(index: BackgroundIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> BackgroundIndex:
-    """Read an index file; truncated or malformed files never yield a partial index."""
+    """Read an index file; truncated or malformed files never yield a partial index.
+
+    Besides its syntax, a file must keep what ``build_index`` guarantees:
+    one year per paper, every posting year in ``year_counts``, each row's
+    refs sorted and unique, and no more distinct papers than ``n_papers``.
+    """
     path = Path(path)
     lines = _read_text(path).splitlines()
     if not lines:
@@ -294,7 +328,34 @@ def load_index(path: str | Path) -> BackgroundIndex:
         raise ParseError(
             f"{path}: expected {num_keys} key lines, found {len(body)} (truncated?)"
         )
+    # The rows hold no reference cycles, so the collector's passes over the
+    # growing postings would be pure cost.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        postings = _load_rows(body, str(path), cutoff_year, year_counts, n_papers)
+    finally:
+        if collecting:
+            gc.enable()
+    return BackgroundIndex(
+        cutoff_year=cutoff_year,
+        n_papers=n_papers,
+        year_counts=year_counts,
+        postings=postings,
+    )
+
+
+def _load_rows(
+    body: list[str],
+    path: str,
+    cutoff_year: int,
+    year_counts: dict[int, int],
+    n_papers: int,
+) -> dict[ElementKey, tuple[PaperRef, ...]]:
+    """Parse and check the key lines; each JSON row must sit on its own line."""
     postings: dict[ElementKey, tuple[PaperRef, ...]] = {}
+    interned: dict[str, NormalizedString] = {}  # element text -> tokens
+    paper_refs: dict[str, PaperRef] = {}  # one ref, and so one year, per paper
     for lineno, line in enumerate(body, start=2):
         locus = f"{path}:{lineno}"
         try:
@@ -303,11 +364,12 @@ def load_index(path: str | Path) -> BackgroundIndex:
             raise ParseError(f"{locus}: malformed row: {exc.msg}") from exc
         if not isinstance(row, list):
             raise ParseError(f"{locus}: row must be an array")
-        key = _key_from_fields(row[:-1], locus)
+        key = _key_from_fields(row[:-1], locus, interned)
         refs = row[-1]
         if not isinstance(refs, list) or not refs:
             raise ParseError(f"{locus}: postings must be a non-empty array")
         parsed = []
+        previous = None
         for ref in refs:
             if (
                 not isinstance(ref, list)
@@ -316,17 +378,31 @@ def load_index(path: str | Path) -> BackgroundIndex:
                 or type(ref[1]) is not int
             ):
                 raise ParseError(f"{locus}: malformed posting {ref!r}")
-            if ref[1] >= cutoff_year:
+            paper_id, year = ref
+            if year >= cutoff_year:
                 raise ParseError(
                     f"{locus}: posting {ref!r} is not before cutoff {cutoff_year}"
                 )
-            parsed.append(PaperRef(ref[0], ref[1]))
+            if year not in year_counts:
+                raise ParseError(f"{locus}: posting {ref!r} has no year count")
+            if previous is not None and ref <= previous:
+                raise ParseError(f"{locus}: postings are unsorted or repeated")
+            previous = ref
+            paper_ref = paper_refs.get(paper_id)
+            if paper_ref is None:
+                paper_ref = paper_refs[paper_id] = PaperRef(paper_id, year)
+            elif paper_ref.year != year:
+                raise ParseError(
+                    f"{locus}: paper {paper_id!r} is dated {year} here"
+                    f" and {paper_ref.year} elsewhere"
+                )
+            parsed.append(paper_ref)
         if key in postings:
             raise ParseError(f"{locus}: duplicate element key")
         postings[key] = tuple(parsed)
-    return BackgroundIndex(
-        cutoff_year=cutoff_year,
-        n_papers=n_papers,
-        year_counts=year_counts,
-        postings=postings,
-    )
+    if len(paper_refs) > n_papers:
+        raise ParseError(
+            f"{path}: postings name {len(paper_refs)} papers, more than"
+            f" n_papers {n_papers}"
+        )
+    return postings

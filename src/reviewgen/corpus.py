@@ -140,6 +140,8 @@ class ReviewLabels:
 def _check_keys(obj: dict, required: set[str], optional: set[str], locus: str) -> None:
     if not isinstance(obj, dict):
         raise ParseError(f"{locus}: expected an object, got {type(obj).__name__}")
+    if obj.keys() == required:
+        return
     keys = set(obj)
     missing = required - keys
     if missing:

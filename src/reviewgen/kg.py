@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from reviewgen.corpus import (
     EntityType,
@@ -72,13 +73,14 @@ def coreferential(a: NormalizedString, b: NormalizedString) -> bool:
     return any(long[i : i + n] == short for i in range(len(long) - n + 1))
 
 
-@dataclass(frozen=True)
-class ElementKey:
+class ElementKey(NamedTuple):
     """A comparable knowledge element: an entity node or a relation edge.
 
     Node keys carry only ``head``; edge keys carry head, relation, and
-    tail representatives. ``sort_key`` defines the total order used for
-    all deterministic iteration (nodes before edges).
+    tail representatives. A key is a plain tuple underneath, so it hashes
+    and compares as ``(head, relation, tail)``; the background index and
+    its loader build tens of thousands of them. ``sort_key`` defines the
+    total order used for all deterministic iteration (nodes before edges).
     """
 
     head: NormalizedString
@@ -87,13 +89,13 @@ class ElementKey:
 
     @classmethod
     def node(cls, representative: NormalizedString) -> "ElementKey":
-        return cls(head=tuple(representative))
+        return cls(tuple(representative))
 
     @classmethod
     def edge(
         cls, head: NormalizedString, relation: RelationType, tail: NormalizedString
     ) -> "ElementKey":
-        return cls(head=tuple(head), relation=relation, tail=tuple(tail))
+        return cls(tuple(head), relation, tuple(tail))
 
     @property
     def is_edge(self) -> bool:

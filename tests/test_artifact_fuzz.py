@@ -2,7 +2,8 @@
 
 A mutated index or model file must give exit code 0 (the file is still
 valid) or 3 (bad artifact); any other code or an uncaught exception
-breaks the CLI's exit-code contract.
+breaks the CLI's exit-code contract. An index edited to break one of the
+invariants the builder guarantees must give 3.
 """
 
 from __future__ import annotations
@@ -94,6 +95,51 @@ def test_mutated_index_loads_or_exits_3(trained, workdir, data):
     index = workdir / "bg.json"
     index.write_bytes(b"\n".join(lines) + b"\n")
     assert review_exit_code(index, trained["models"]) in (0, 3)
+
+
+@FUZZ
+@given(data=st.data())
+def test_index_breaking_an_invariant_exits_3(trained, workdir, data):
+    """Edits that keep every row well-formed but break what the builder
+    guarantees: one year per paper, each posting year counted, refs sorted
+    and unique within a row, no more papers than n_papers."""
+    lines = trained["index"].read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    rows = [json.loads(line) for line in lines[1:]]
+    refs_of = {}  # paper id -> the postings that name it
+    for row in rows:
+        for ref in row[-1]:
+            refs_of.setdefault(ref[0], []).append(ref)
+    papers = sorted(refs_of)
+    counted = sorted(int(y) for y in header["year_counts"])
+    edit = data.draw(
+        st.sampled_from(["two years", "uncounted year", "unsorted", "repeated", "extra papers"])
+    )
+    if edit == "two years":
+        paper = data.draw(st.sampled_from([p for p in papers if len(refs_of[p]) > 1]))
+        ref = data.draw(st.sampled_from(refs_of[paper]))
+        ref[1] = data.draw(st.sampled_from([y for y in counted if y != ref[1]]))
+    elif edit == "uncounted year":
+        paper = data.draw(st.sampled_from(papers))
+        year = data.draw(st.integers(1900, header["cutoff_year"] - 1)
+                         .filter(lambda y: y not in counted))
+        for ref in refs_of[paper]:
+            ref[1] = year
+    elif edit in ("unsorted", "repeated"):
+        refs = data.draw(st.sampled_from([r[-1] for r in rows if len(r[-1]) > 1]))
+        i = data.draw(st.integers(0, len(refs) - 2))
+        if edit == "unsorted":
+            refs[i], refs[i + 1] = refs[i + 1], refs[i]
+        else:
+            refs.insert(i + 1, list(refs[i]))
+    else:
+        refs = data.draw(st.sampled_from([r[-1] for r in rows]))
+        extra = header["n_papers"] - len(papers) + data.draw(st.integers(1, 3))
+        refs.extend([f"{refs[-1][0]}~{i}", counted[0]] for i in range(extra))
+    lines[1:] = [json.dumps(row) for row in rows]
+    index = workdir / "bg.json"
+    index.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert review_exit_code(index, trained["models"]) == 3
 
 
 @FUZZ

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 
@@ -189,6 +190,67 @@ class TestMatchElement:
                 )
             )
             assert match_element(index, query) == want
+
+    def test_long_tail_lookup_matches_oracle_scan(self):
+        """Zipf-weighted tokens, heads with repeated tokens, queries longer
+        and shorter than the indexed heads, nodes and edges."""
+        from reviewgen.corpus import RelationType
+
+        rng = random.Random(2020)
+        vocab = [f"t{r}" for r in range(40)]
+        weights = [1.0 / (r + 1) for r in range(40)]
+        relations = [RelationType.USED_FOR, RelationType.COMPARE]
+
+        def head(max_len):
+            return tuple(rng.choices(vocab, weights, k=rng.randint(1, max_len)))
+
+        def key(max_len):
+            if rng.random() < 0.6:
+                return ElementKey.node(head(max_len))
+            return ElementKey.edge(head(max_len), rng.choice(relations), head(3))
+
+        papers = [PaperRef(f"P{i:03d}", 2000 + i % 15) for i in range(60)]
+        keys = {key(4) for _ in range(600)}
+        keys |= {
+            ElementKey.node(h)
+            for h in [("a",), ("b", "a"), ("a", "b", "a"), ("a", "b", "a", "b")]
+        }
+        index = BackgroundIndex(
+            cutoff_year=2018,
+            n_papers=len(papers),
+            year_counts={},
+            postings={
+                k: tuple(sorted(rng.sample(papers, rng.randint(1, 4))))
+                for k in sorted(keys, key=ElementKey.sort_key)
+            },
+        )
+        indexed = list(index.postings)
+        queries = [key(7) for _ in range(300)]
+        queries += [ElementKey.node(h) for h in [("a",), ("a", "b", "a"), ("b", "a", "b")]]
+        # sub-spans and superstrings of indexed heads, so that most queries match
+        for k in rng.sample(indexed, 100):
+            i = rng.randrange(len(k.head))
+            j = rng.randint(i + 1, len(k.head))
+            span = k.head[i:j]
+            longer = head(2) + k.head + head(2)
+            for h in (span, longer):
+                queries.append(ElementKey(h, k.relation, k.tail))
+        matched = 0
+        for query in queries:
+            truth = [k for k in indexed if oracle_key_match(query, k)]
+            candidates = index.candidate_keys(query)
+            assert len(candidates) == len(set(candidates))
+            assert set(truth) <= set(candidates)
+            hits = {ref.paper_id: ref.year for k in truth for ref in index.postings[k]}
+            want = tuple(
+                sorted(
+                    (PaperRef(p, y) for p, y in hits.items()),
+                    key=lambda r: (-r.year, r.paper_id),
+                )
+            )
+            assert match_element(index, query) == want
+            matched += bool(truth)
+        assert matched > len(queries) // 3
 
     def test_result_ordering(self, corpus, index2018):
         refs = match_element(
@@ -381,6 +443,84 @@ class TestPersistence:
         path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ParseError, match="year count|n_papers|num_keys"):
             load_index(path)
+
+    @staticmethod
+    def rewrite_postings(index, path, edit) -> None:
+        """Save ``index`` to ``path`` with ``edit(row_number, refs)`` applied
+        to the postings of every key line."""
+        save_index(index, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        rows = [json.loads(line) for line in lines[1:]]
+        for number, row in enumerate(rows):
+            edit(number, row[-1])
+        lines[1:] = [json.dumps(row) for row in rows]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def test_paper_with_two_years_rejected(self, index2018, tmp_path):
+        # P04 (2014) is in several rows; date it 2013 in the first one only
+        def edit(number, refs):
+            for ref in refs:
+                if number == 0 and ref[0] == "P04":
+                    ref[1] = 2013
+
+        path = tmp_path / "bg.json"
+        self.rewrite_postings(index2018, path, edit)
+        with pytest.raises(ParseError, match="'P04' is dated 2014 here and 2013 elsewhere"):
+            load_index(path)
+
+    def test_posting_year_without_count_rejected(self, index2018, tmp_path):
+        # every posting of P04 moves to 1999, which year_counts lacks
+        def edit(number, refs):
+            for ref in refs:
+                if ref[0] == "P04":
+                    ref[1] = 1999
+
+        path = tmp_path / "bg.json"
+        self.rewrite_postings(index2018, path, edit)
+        with pytest.raises(ParseError, match="1999.*no year count"):
+            load_index(path)
+
+    @pytest.mark.parametrize("change", ["reversed", "repeated"])
+    def test_unsorted_or_repeated_refs_rejected(self, index2018, tmp_path, change):
+        def edit(number, refs):
+            if len(refs) > 1 and number == 0:
+                if change == "reversed":
+                    refs.reverse()
+                else:
+                    refs.insert(1, list(refs[1]))
+
+        path = tmp_path / "bg.json"
+        self.rewrite_postings(index2018, path, edit)
+        with pytest.raises(ParseError, match="unsorted or repeated"):
+            load_index(path)
+
+    def test_more_papers_than_n_papers_rejected(self, index2018, tmp_path):
+        named = {ref.paper_id for refs in index2018.postings.values() for ref in refs}
+        extra = index2018.n_papers - len(named) + 1
+
+        def edit(number, refs):
+            if number == 0:
+                refs.extend([f"Q{i}", 2016] for i in range(extra))
+
+        path = tmp_path / "bg.json"
+        self.rewrite_postings(index2018, path, edit)
+        with pytest.raises(ParseError, match="more than n_papers 11"):
+            load_index(path)
+
+    def test_collector_state_restored_after_a_failed_load(self, index2018, tmp_path):
+        path = tmp_path / "bg.json"
+        self.rewrite_postings(index2018, path, lambda number, refs: refs.reverse())
+        assert gc.isenabled()
+        with pytest.raises(ParseError):
+            load_index(path)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            with pytest.raises(ParseError):
+                load_index(path)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "bg.json"

@@ -214,6 +214,24 @@ class TestReview:
         assert result.returncode == 3
         assert "Traceback" not in result.stderr
 
+    def test_rows_straddling_lines_are_artifact_error(self, trained, tmp_path):
+        # rows 1 and 2 share a line and row 3 is split at its first comma:
+        # the line count is kept and the lines joined by commas still read
+        # as the original rows, but each line must hold exactly one row
+        header, *body = trained["index"].read_text(encoding="utf-8").splitlines()
+        first, rest = body[2].split(",", 1)
+        lines = [body[0] + "," + body[1], first, rest, *body[3:]]
+        assert len(lines) == len(body)
+        assert json.loads("[" + ",".join(lines) + "]") == [json.loads(r) for r in body]
+        index = tmp_path / "bg.json"
+        index.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        result = run_cli(
+            "review", PAPERS / "P12.json", "--index", index,
+            "--models", trained["models"],
+        )
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+
     @pytest.mark.parametrize("mutation", ["string year count", "n_papers too high"])
     def test_bad_index_header_is_artifact_error(self, trained, tmp_path, mutation):
         lines = trained["index"].read_text(encoding="utf-8").splitlines(keepends=True)

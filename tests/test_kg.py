@@ -338,6 +338,52 @@ class TestElements:
         assert grel.edges[0].relation is RelationType.USED_FOR
 
 
+class TestElementKey:
+    NODE = ElementKey.node(["neural", "network"])
+    EDGE = ElementKey.edge(("cnn",), RelationType.USED_FOR, ("tagging",))
+
+    def test_constructors_fill_the_fields(self):
+        assert self.NODE == ElementKey(("neural", "network"), None, None)
+        assert self.NODE.head == ("neural", "network")
+        assert not self.NODE.is_edge
+        assert self.EDGE.relation is RelationType.USED_FOR
+        assert self.EDGE.tail == ("tagging",)
+        assert self.EDGE.is_edge
+
+    def test_equal_keys_hash_equal(self):
+        twin = ElementKey.edge(["cnn"], RelationType.USED_FOR, ["tagging"])
+        assert twin == self.EDGE and hash(twin) == hash(self.EDGE)
+        assert len({self.NODE, self.EDGE, twin, ElementKey.node(("neural", "network"))}) == 2
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            ElementKey.node(("neural",)),
+            ElementKey.edge(("cnn",), RelationType.COMPARE, ("tagging",)),
+            ElementKey.edge(("cnn",), RelationType.USED_FOR, ("parsing",)),
+            ElementKey.edge(("tagging",), RelationType.USED_FOR, ("cnn",)),
+        ],
+    )
+    def test_any_field_tells_keys_apart(self, other):
+        assert other != self.NODE and other != self.EDGE
+
+    def test_sort_key_puts_nodes_first_then_head_relation_tail(self):
+        keys = [
+            ElementKey.edge(("a",), RelationType.USED_FOR, ("b",)),
+            ElementKey.edge(("a",), RelationType.COMPARE, ("c",)),
+            ElementKey.edge(("a",), RelationType.COMPARE, ("b",)),
+            ElementKey.node(("z",)),
+            ElementKey.node(("a", "b")),
+            ElementKey.node(("a",)),
+        ]
+        ordered = sorted(keys, key=ElementKey.sort_key)
+        assert ordered == [keys[5], keys[4], keys[3], keys[2], keys[1], keys[0]]
+
+    def test_str(self):
+        assert str(self.NODE) == "node\tneural network"
+        assert str(self.EDGE) == "edge\tcnn\tused_for\ttagging"
+
+
 class TestGoldenElements:
     def test_p01_element_list(self, papers):
         from conftest import golden

@@ -267,6 +267,27 @@ class TestNumericalStability:
         assert out[1] == pytest.approx(0.0, abs=1e-300)
         assert out[2] == 0.5
 
+    def test_sigmoid_bitwise_equals_masked_form(self):
+        """The branch-free form gives the bits of the per-sign masked form."""
+
+        def masked(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        rng = np.random.default_rng(6)
+        x = np.concatenate([
+            [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300],
+            rng.standard_normal(5000) * 10.0,
+            rng.uniform(-800.0, 800.0, 5000),
+        ])
+        with np.errstate(over="raise"):
+            got = sigmoid(x)
+        assert got.tobytes() == masked(x).tobytes()
+
     def test_softmax_large_logits(self):
         with np.errstate(over="raise"):
             probs = softmax(np.array([1000.0, 999.0, -1000.0]))
