@@ -42,7 +42,6 @@ from reviewgen.errors import (
     FormatVersionError,
     MissingModelError,
     ParseError,
-    PreconditionViolation,
     ReviewgenError,
     ShapeMismatchError,
     UnsupportedRelationError,

@@ -2,8 +2,9 @@
 
 The index maps every knowledge element seen in pre-cutoff papers to the
 papers (with years) that contain it, and carries the paper counts needed
-for TF-IDF. Matching against the index is fuzzy: two elements match when
-their representatives contain one another (lifted to both endpoints for
+for TF-IDF; ``tfidf`` scores every element of one paper graph per call.
+Matching against the index is fuzzy: two elements match when their
+representatives contain one another (lifted to both endpoints for
 edges). Candidates come from two sides of that containment: the keys
 whose head holds the query head's rarest token cover every superstring,
 and exact-head lookups of the query head's contiguous sub-spans cover
@@ -31,7 +32,6 @@ from reviewgen.errors import (
     CutoffMismatchError,
     FormatVersionError,
     ParseError,
-    PreconditionViolation,
     ValidationError,
 )
 from reviewgen.kg import (
@@ -193,34 +193,32 @@ def match_element(index: BackgroundIndex, key: ElementKey) -> tuple[PaperRef, ..
     return tuple(sorted(refs, key=lambda r: (-r.year, r.paper_id)))
 
 
-def _mention_count(kg: KnowledgeGraph, key: ElementKey) -> int:
-    by_rep = kg.entity_by_representative
-    if not key.is_edge:
-        return len(by_rep[key.head].mentions)
-    # an edge is supported at most as often as its least-mentioned endpoint
-    return min(len(by_rep[key.head].mentions), len(by_rep[key.tail].mentions))
+def tfidf(index: BackgroundIndex, paper_kg: KnowledgeGraph) -> dict[ElementKey, float]:
+    """Normalized TF-IDF in [0, 1] of every element of ``paper_kg``, in key order.
 
-
-def tfidf(index: BackgroundIndex, key: ElementKey, paper_kg: KnowledgeGraph) -> float:
-    """Normalized TF-IDF of one element of ``paper_kg`` in [0, 1].
-
-    tf is the element's mention count over the paper's maximum;
-    idf is ln(N/df)/ln(N) with df counted through fuzzy matching, so a
-    background "LSTM network" suppresses an "LSTM" query. Elements absent
-    from the background (df == 0) take idf 1.
+    tf is the element's mention count over the paper's maximum; an edge
+    counts as often as its less-mentioned endpoint. idf is ln(N/df)/ln(N)
+    with df counted through fuzzy matching, so a background "LSTM network"
+    suppresses an "LSTM" query. Elements absent from the background
+    (df == 0) take idf 1.
     """
-    keys = elements(paper_kg)
-    if key not in keys:
-        raise PreconditionViolation(f"element not in paper graph: {key}")
-    counts = {k: _mention_count(paper_kg, k) for k in keys}
-    tf_norm = counts[key] / max(counts.values())
-    df_eff = len(match_element(index, key))
+    by_rep = paper_kg.entity_by_representative
+    counts = {}
+    for key in elements(paper_kg):
+        ends = (key.head, key.tail) if key.is_edge else (key.head,)
+        counts[key] = min(len(by_rep[rep].mentions) for rep in ends)
+    max_count = max(counts.values(), default=1)
     n = index.n_papers
-    if df_eff == 0 or n <= 1:
-        idf_norm = 1.0
-    else:
-        idf_norm = math.log(n / df_eff) / math.log(n)
-    return min(1.0, max(0.0, tf_norm * idf_norm))
+    scores = {}
+    for key, count in counts.items():
+        tf_norm = count / max_count
+        df_eff = len(match_element(index, key))
+        if df_eff == 0 or n <= 1:
+            idf_norm = 1.0
+        else:
+            idf_norm = math.log(n / df_eff) / math.log(n)
+        scores[key] = min(1.0, max(0.0, tf_norm * idf_norm))
+    return scores
 
 
 def _key_to_fields(key: ElementKey) -> list:

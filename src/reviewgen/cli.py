@@ -105,26 +105,36 @@ def _paper_index(
     return restrict(index, effective)
 
 
-def _category_dataset(
+def _category_sequences(
     papers: list[PaperRecord],
+    bundles: dict[str, EvidenceBundle],
+    category: Category,
+    max_seq_len: int,
+) -> dict[str, tuple[str, ...]]:
+    """Each paper's token sequence for ``category``, keyed by paper id."""
+    return {
+        p.paper_id: category_sentences(p, bundles[p.paper_id], category, max_seq_len)
+        for p in papers
+    }
+
+
+def _category_dataset(
+    sequences: dict[str, tuple[str, ...]],
     bundles: dict[str, EvidenceBundle],
     targets: dict[str, dict[Category, int]],
     category: Category,
     vocab: Vocab,
-    max_seq_len: int,
 ) -> list[TrainingExample]:
+    """One example per paper that has a target score in ``category``."""
     examples = []
-    for paper in papers:
-        score = targets[paper.paper_id].get(category)
+    for paper_id, tokens in sequences.items():
+        score = targets[paper_id].get(category)
         if score is None:
             continue
-        tokens = category_sentences(
-            paper, bundles[paper.paper_id], category, max_seq_len
-        )
         examples.append(
             TrainingExample(
                 token_ids=vocab.encode(tokens),
-                features=bundles[paper.paper_id].features,
+                features=bundles[paper_id].features,
                 target=score - 1,
             )
         )
@@ -183,14 +193,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     model_dir = Path(args.models)
     model_dir.mkdir(parents=True, exist_ok=True)
     for category in SCOREABLE_CATEGORIES:
-        sentence_sets = [
-            category_sentences(p, bundles[p.paper_id], category, config.max_seq_len)
-            for p in papers
-        ]
-        vocab = Vocab.build(sentence_sets, min_count=config.min_count)
-        dataset = _category_dataset(
-            papers, bundles, targets, category, vocab, config.max_seq_len
-        )
+        # the vocab counts every labelled paper, scored in this category or not
+        sequences = _category_sequences(papers, bundles, category, config.max_seq_len)
+        vocab = Vocab.build(sequences.values(), min_count=config.min_count)
+        dataset = _category_dataset(sequences, bundles, targets, category, vocab)
         if not dataset:
             raise ValidationError(f"no labeled examples for category {category.value}")
         params = train(
@@ -215,12 +221,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     dataset = {
         category: _category_dataset(
-            papers,
+            _category_sequences(
+                papers, bundles, category, models[category].max_seq_len
+            ),
             bundles,
             targets,
             category,
             models[category].vocab,
-            models[category].max_seq_len,
         )
         for category in SCOREABLE_CATEGORIES
     }

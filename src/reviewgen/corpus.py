@@ -234,7 +234,7 @@ def _parse_mention(raw: dict, sections, locus: str) -> Mention:
     start = _as_int(span_raw[0], f"{locus}.span[0]")
     end = _as_int(span_raw[1], f"{locus}.span[1]")
 
-    if section not in sections or sentence_index >= len(sections[section]):
+    if section not in sections or not 0 <= sentence_index < len(sections[section]):
         raise ValidationError(
             f"{locus}: mention {mention_id} points at missing sentence "
             f"{section_name}[{sentence_index}]"
@@ -269,7 +269,7 @@ def _parse_relation(raw: dict, sections, mention_ids: set[int], locus: str) -> R
         raise ParseError(f"{locus}.section: unknown section {section_name!r}")
     section = _SECTION_BY_VALUE[section_name]
     sentence_index = _as_int(raw["sentence"], f"{locus}.sentence")
-    if section not in sections or sentence_index >= len(sections[section]):
+    if section not in sections or not 0 <= sentence_index < len(sections[section]):
         raise ValidationError(
             f"{locus}: relation points at missing sentence "
             f"{section_name}[{sentence_index}]"
@@ -430,12 +430,16 @@ def load_review_labels(path: str | Path) -> list[ReviewLabels]:
     if not isinstance(raw, list):
         raise ParseError(f"{path}: expected a top-level list")
     out = []
+    seen: set[str] = set()
     for i, entry in enumerate(raw):
         locus = f"{path}[{i}]"
         _check_keys(entry, {"paper_id", "reviews"}, set(), locus)
         paper_id = _as_str(entry["paper_id"], f"{locus}.paper_id")
         if not paper_id:
             raise ValidationError(f"{locus}: paper_id must be non-empty")
+        if paper_id in seen:
+            raise ValidationError(f"{locus}: second entry for paper {paper_id!r}")
+        seen.add(paper_id)
         reviews_raw = entry["reviews"]
         if not isinstance(reviews_raw, list):
             raise ParseError(f"{locus}.reviews: expected a list")

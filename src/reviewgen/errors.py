@@ -17,10 +17,6 @@ class CutoffMismatchError(ReviewgenError):
     """A background index cannot be widened to a later cutoff year."""
 
 
-class PreconditionViolation(ReviewgenError):
-    """An operation was called with arguments outside its contract."""
-
-
 class FormatVersionError(ReviewgenError):
     """A persisted file has an unknown format marker or version."""
 

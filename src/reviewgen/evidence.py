@@ -4,7 +4,9 @@ Novelty evidence is the set difference between a paper's elements and the
 background index; comparison evidence is the matched-but-uncited papers
 behind the paper's high-TF-IDF elements; summary evidence is the subgraph
 of relations worth describing in prose. The numeric feature vector that
-feeds the score predictor is derived from the same pieces.
+feeds the score predictor is derived from the same pieces. A bundle scores
+the paper's TF-IDF once; the comparison evidence and the mean-TF-IDF
+feature both read that one score map.
 """
 
 from __future__ import annotations
@@ -117,14 +119,15 @@ def extract_novelty(
 
 
 def extract_comparison(
-    gp: KnowledgeGraph,
+    scores: dict[ElementKey, float],
     grel: KnowledgeGraph,
     index: BackgroundIndex,
     citations: set[str],
 ) -> list[ComparisonEntry]:
     """Matched-but-uncited background papers per high-TF-IDF element.
 
-    A matched paper counts as cited when its id is in the citation list
+    ``scores`` is ``tfidf(index, gp)`` of the paper's target graph. A
+    matched paper counts as cited when its id is in the citation list
     or when any of its indexed elements matches the related-work graph
     (annotation citation lists may be incomplete). Entries keep only
     elements with TF-IDF strictly above the threshold and a non-empty
@@ -135,8 +138,7 @@ def extract_comparison(
         covered.update(ref.paper_id for ref in match_element(index, key))
 
     entries = []
-    for key in elements(gp):
-        score = tfidf(index, key, gp)
+    for key, score in scores.items():
         if score <= TFIDF_THRESHOLD:
             continue
         matched = match_element(index, key)
@@ -164,9 +166,10 @@ def evidence_features(
     gp: KnowledgeGraph,
     novelty_new: list[ElementKey],
     comparison: list[ComparisonEntry],
-    index: BackgroundIndex,
+    scores: dict[ElementKey, float],
 ) -> np.ndarray:
-    """Deterministic 17-dim numeric summary of one paper's evidence."""
+    """Deterministic 17-dim summary of one paper's evidence; ``scores`` is
+    ``tfidf(index, gp)``, whose mean is the last feature."""
     features = np.zeros(FEATURE_DIM, dtype=np.float64)
     by_rep = gp.entity_by_representative
     entity_type_order = list(EntityType)
@@ -180,11 +183,8 @@ def evidence_features(
     features[13] = float(len(gp.entities))
     features[14] = float(len(gp.edges))
     features[15] = float(len(comparison))
-    keys = elements(gp)
-    if keys:
-        features[16] = float(
-            np.mean([tfidf(index, key, gp) for key in keys])
-        )
+    if scores:
+        features[16] = float(np.mean(list(scores.values())))
     return features
 
 
@@ -193,8 +193,9 @@ def build_bundle(paper: PaperRecord, index: BackgroundIndex) -> EvidenceBundle:
     gp = build_kg(paper, TARGET_SCOPE)
     grel = build_kg(paper, RELATED_SCOPE)
     novelty_new = extract_novelty(gp, index)
-    comparison = extract_comparison(gp, grel, index, set(paper.citations))
-    features = evidence_features(gp, novelty_new, comparison, index)
+    scores = tfidf(index, gp)
+    comparison = extract_comparison(scores, grel, index, set(paper.citations))
+    features = evidence_features(gp, novelty_new, comparison, scores)
     surfaces = {e.representative: e.rep_surface for e in grel.entities}
     surfaces.update((e.representative, e.rep_surface) for e in gp.entities)
     return EvidenceBundle(

@@ -190,7 +190,7 @@ def parse_templates(raw: object) -> TemplateSet:
             raise ValidationError(f"phrase for {name!r} must be a string")
         phrases[rel_by_value[name]] = phrase
     variant = raw.get("variant", 0)
-    if not isinstance(variant, int) or variant < 0:
+    if type(variant) is not int or variant < 0:
         raise ValidationError("variant must be a non-negative integer")
     tset = TemplateSet(
         categories=categories, relation_phrases=phrases, variant=variant

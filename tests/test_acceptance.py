@@ -85,7 +85,8 @@ def comparison_instances(rng: random.Random, count: int):
         citations = set(rng.sample(ids, k=rng.randint(0, min(3, len(ids)))))
         gp = build_kg(probe, TARGET_SCOPE)
         grel = build_kg(probe, RELATED_SCOPE)
-        yield extract_comparison(gp, grel, index, citations), citations
+        scores = index_tfidf(index, gp)
+        yield extract_comparison(scores, grel, index, citations), citations
 
 
 def test_criterion_01_headline_substitution():
@@ -204,7 +205,7 @@ def test_criterion_05_tfidf_oracle():
                 if df else {}
             ),
         )
-        got = index_tfidf(index, key, graph)
+        got = index_tfidf(index, graph)[key]
         want = oracle_tfidf(tf_count, max(tf_count, other), df, n)
         assert abs(got - want) <= 1e-12, f"case {case}: {got} vs {want}"
 

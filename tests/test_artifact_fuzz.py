@@ -1,7 +1,8 @@
-"""Mutation fuzzing of the artifacts that ``review`` reads.
+"""Mutation fuzzing of the files that ``review`` reads.
 
 A mutated index or model file must give exit code 0 (the file is still
-valid) or 3 (bad artifact); any other code or an uncaught exception
+valid) or 3 (bad artifact); a mutated paper or template file must give 0
+or 2 (bad input). Any other code, an uncaught exception or a traceback
 breaks the CLI's exit-code contract. An index edited to break one of the
 invariants the builder guarantees must give 3.
 """
@@ -23,6 +24,8 @@ from reviewgen.cli import main
 # P05 (2014) is older than the index cutoff, so its review also restricts
 # the index.
 PAPER = TOY_DIR / "papers" / "P05.json"
+P12 = TOY_DIR / "papers" / "P12.json"
+TEMPLATES = TOY_DIR.parent / "templates" / "default.json"
 
 FUZZ = settings(max_examples=60, derandomize=True, deadline=None, database=None)
 
@@ -55,12 +58,16 @@ def mutate_json(data, node) -> None:
         return
 
 
-def review_exit_code(index, models) -> int:
-    argv = ["review", str(PAPER), "--index", str(index), "--models", str(models),
+def review_exit_code(index, models, paper=PAPER, templates=None) -> int:
+    argv = ["review", str(paper), "--index", str(index), "--models", str(models),
             "--format", "json"]
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+    if templates is not None:
+        argv += ["--templates", str(templates)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +161,24 @@ def test_mutated_model_loads_or_exits_3(trained, workdir, data):
         text = text[: data.draw(st.integers(0, len(text) - 1))]
     (workdir / "models" / "novelty.json").write_text(text, encoding="utf-8")
     assert review_exit_code(trained["index"], workdir / "models") in (0, 3)
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_paper_reviews_or_exits_2(trained, workdir, data):
+    paper = json.loads(P12.read_text(encoding="utf-8"))
+    mutate_json(data, paper)
+    path = workdir / "paper.json"
+    path.write_text(json.dumps(paper), encoding="utf-8")
+    assert review_exit_code(trained["index"], trained["models"], paper=path) in (0, 2)
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_templates_review_or_exit_2(trained, workdir, data):
+    templates = json.loads(TEMPLATES.read_text(encoding="utf-8"))
+    mutate_json(data, templates)
+    path = workdir / "templates.json"
+    path.write_text(json.dumps(templates), encoding="utf-8")
+    code = review_exit_code(trained["index"], trained["models"], P12, path)
+    assert code in (0, 2)

@@ -23,7 +23,6 @@ from reviewgen.errors import (
     CutoffMismatchError,
     FormatVersionError,
     ParseError,
-    PreconditionViolation,
 )
 from reviewgen.kg import TARGET_SCOPE, ElementKey, build_kg, elements
 
@@ -298,24 +297,19 @@ class TestTfidf:
     def test_absent_most_mentioned_scores_one(self):
         kg = self.build_graph({"alpha beta": 3, "gamma delta": 1})
         index = self.index_with(10, ElementKey.node(("other",)), 0)
-        assert tfidf(index, ElementKey.node(("alpha", "beta")), kg) == 1.0
+        assert tfidf(index, kg)[ElementKey.node(("alpha", "beta"))] == 1.0
 
     def test_df_equal_n_scores_zero(self):
         key = ElementKey.node(("alpha", "beta"))
         kg = self.build_graph({"alpha beta": 2})
         index = self.index_with(5, key, 5)
-        assert tfidf(index, key, kg) == 0.0
+        assert tfidf(index, kg)[key] == 0.0
 
     def test_half_tf_unit_idf(self):
         key = ElementKey.node(("alpha", "beta"))
         kg = self.build_graph({"alpha beta": 1, "gamma delta": 2})
         index = self.index_with(4, key, 1)
-        assert tfidf(index, key, kg) == pytest.approx(0.5, abs=1e-15)
-
-    def test_element_not_in_graph_rejected(self, index2018):
-        kg = self.build_graph({"alpha beta": 1})
-        with pytest.raises(PreconditionViolation):
-            tfidf(index2018, ElementKey.node(("missing",)), kg)
+        assert tfidf(index, kg)[key] == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_scalar_oracle(self):
         rng = random.Random(99)
@@ -327,7 +321,7 @@ class TestTfidf:
             other = rng.randint(1, 6)
             kg = self.build_graph({"alpha beta": tf_count, "gamma delta": other})
             index = self.index_with(n, key, df)
-            got = tfidf(index, key, kg)
+            got = tfidf(index, kg)[key]
             want = oracle_tfidf(tf_count, max(tf_count, other), df, n)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -341,7 +335,7 @@ class TestTfidf:
             ("dual", "decoder", "fusion"),
         )
         # endpoint counts are 2 and 3; max entity count in the graph is 3
-        assert tfidf(index2018, key, gp) == pytest.approx(2 / 3, abs=1e-12)
+        assert tfidf(index2018, gp)[key] == pytest.approx(2 / 3, abs=1e-12)
 
 
 class TestPersistence:

@@ -15,6 +15,7 @@ from reviewgen.scoring import grad
 
 PAPERS = TOY_DIR / "papers"
 LABELS = TOY_DIR / "labels.json"
+TEMPLATES = TOY_DIR.parent / "templates" / "default.json"
 
 
 class TestBuildBackground:
@@ -326,6 +327,14 @@ def _write(path, text):
 
 NO_MATCH_LABELS = '[{"paper_id": "Z9", "reviews": [{"novelty": 3}]}]'
 EMPTY_REVIEW_LABELS = '[{"paper_id": "P01", "reviews": [{}]}]'
+# the toy labels with a second entry for P01, which would replace the first
+TWICE_LABELS = json.dumps(
+    json.loads(LABELS.read_text(encoding="utf-8"))
+    + [{"paper_id": "P01", "reviews": [{"novelty": 1}]}]
+)
+VARIANT_TRUE_TEMPLATES = json.dumps(
+    {**json.loads(TEMPLATES.read_text(encoding="utf-8")), "variant": True}
+)
 
 # Failure paths no other test covers, each with its documented exit code;
 # the argv is built from the trained artifacts and a scratch directory.
@@ -336,6 +345,12 @@ EXIT_CASES = {
     "malformed template file": (2, lambda t, d: [
         "review", PAPERS / "P12.json", "--index", t["index"], "--models",
         t["models"], "--templates", _write(d / "tpl.json", "{not json")]),
+    "template variant true": (2, lambda t, d: [
+        "review", PAPERS / "P12.json", "--index", t["index"], "--models",
+        t["models"], "--templates", _write(d / "tpl.json", VARIANT_TRUE_TEMPLATES)]),
+    "train labels name a paper twice": (2, lambda t, d: [
+        "train", _write(d / "l.json", TWICE_LABELS), "--corpus", PAPERS,
+        "--index", t["index"], "--models", d / "m", "--epochs", "1"]),
     "train zero epochs": (2, lambda t, d: [
         "train", LABELS, "--corpus", PAPERS, "--index", t["index"],
         "--models", d / "m", "--epochs", "0"]),

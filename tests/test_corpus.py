@@ -75,6 +75,25 @@ class TestParsePaper:
         with pytest.raises(ValidationError):
             parse_paper(doc)
 
+    def test_negative_mention_sentence_rejected(self):
+        doc = minimal_doc()
+        doc["mentions"][0]["sentence"] = -1
+        with pytest.raises(ValidationError, match="missing sentence"):
+            parse_paper(doc)
+
+    def test_negative_relation_sentence_rejected(self):
+        doc = minimal_doc()
+        doc["mentions"].append(
+            {"id": 1, "section": "abstract", "sentence": 0, "span": [0, 1],
+             "type": "task"}
+        )
+        doc["relations"] = [
+            {"head_id": 0, "tail_id": 1, "type": "used_for",
+             "section": "abstract", "sentence": -1}
+        ]
+        with pytest.raises(ValidationError, match="missing sentence"):
+            parse_paper(doc)
+
     def test_empty_span_rejected(self):
         doc = minimal_doc()
         doc["mentions"][0]["span"] = [2, 2]

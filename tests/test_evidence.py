@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import reviewgen.evidence
-from reviewgen.background import build_index
+from reviewgen.background import build_index, tfidf
 from reviewgen.corpus import RelationType, parse_paper
 from reviewgen.evidence import (
     FEATURE_DIM,
@@ -184,11 +184,10 @@ class TestExtractComparison:
         index = build_index(self.background(2, 2), 2018)
         gp = build_kg(target, TARGET_SCOPE)
         grel = build_kg(target, RELATED_SCOPE)
-        from reviewgen.background import tfidf
         from reviewgen.kg import ElementKey
 
-        assert tfidf(index, ElementKey.node(("alpha", "beta")), gp) == 0.5
-        entries = extract_comparison(gp, grel, index, set())
+        assert tfidf(index, gp)[ElementKey.node(("alpha", "beta"))] == 0.5
+        entries = extract_comparison(tfidf(index, gp), grel, index, set())
         assert entries == []
 
     def test_above_threshold_included(self):
@@ -196,7 +195,7 @@ class TestExtractComparison:
         index = build_index(self.background(1, 3), 2018)
         gp = build_kg(target, TARGET_SCOPE)
         grel = build_kg(target, RELATED_SCOPE)
-        entries = extract_comparison(gp, grel, index, set())
+        entries = extract_comparison(tfidf(index, gp), grel, index, set())
         assert len(entries) == 3  # both nodes and the edge all have df=1
         assert all(e.tfidf == 1.0 for e in entries)
         assert all([ref.paper_id for ref in e.uncited] == ["W0"]
@@ -207,7 +206,7 @@ class TestExtractComparison:
         index = build_index(self.background(1, 3), 2018)
         gp = build_kg(target, TARGET_SCOPE)
         grel = build_kg(target, RELATED_SCOPE)
-        assert extract_comparison(gp, grel, index, {"W0"}) == []
+        assert extract_comparison(tfidf(index, gp), grel, index, {"W0"}) == []
 
     def test_related_work_coverage_excluded(self):
         doc = {
@@ -235,14 +234,14 @@ class TestExtractComparison:
         grel = build_kg(target, RELATED_SCOPE)
         # W0 matches the related-work mention of "alpha beta", so it is
         # treated as discussed even though the citation list is empty
-        assert extract_comparison(gp, grel, index, set()) == []
+        assert extract_comparison(tfidf(index, gp), grel, index, set()) == []
 
     def test_df_zero_has_no_entry(self):
         target = two_node_paper("T", 2018)
         index = build_index(self.background(0, 4), 2018)
         gp = build_kg(target, TARGET_SCOPE)
         grel = build_kg(target, RELATED_SCOPE)
-        assert extract_comparison(gp, grel, index, set()) == []
+        assert extract_comparison(tfidf(index, gp), grel, index, set()) == []
 
     def test_sorted_by_tfidf_then_key(self, p12_bundle):
         scores = [e.tfidf for e in p12_bundle.comparison]
@@ -294,7 +293,7 @@ class TestEvidenceFeatures:
                            mentions=[], relations=[])
         gp = build_kg(paper, TARGET_SCOPE)
         index = build_index([], 2018)
-        features = evidence_features(gp, [], [], index)
+        features = evidence_features(gp, [], [], tfidf(index, gp))
         assert features.shape == (17,)
         assert np.all(features == 0.0)
 
@@ -302,7 +301,7 @@ class TestEvidenceFeatures:
         gp = build_kg(two_node_paper("A", 2018), TARGET_SCOPE)
         index = build_index([], 2018)
         novelty = extract_novelty(gp, index)
-        features = evidence_features(gp, novelty, [], index)
+        features = evidence_features(gp, novelty, [], tfidf(index, gp))
         by_name = dict(zip(FEATURE_NAMES, features))
         assert by_name["new_nodes_method"] == 1.0
         assert by_name["new_nodes_task"] == 1.0
@@ -323,6 +322,23 @@ class TestBuildBundle:
         gp = build_kg(papers["P12"], TARGET_SCOPE)
         for entity in gp.entities:
             assert p12_bundle.surfaces[entity.representative] == entity.rep_surface
+
+    def test_scores_tfidf_once_per_paper(self, corpus, index2018, monkeypatch):
+        returned = []
+
+        def counting_tfidf(*args):
+            returned.append(tfidf(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(reviewgen.evidence, "tfidf", counting_tfidf)
+        for paper in corpus:
+            bundle = build_bundle(paper, index2018)
+            assert len(returned) == 1, paper.paper_id
+            scores = returned.pop()
+            assert list(scores) == elements(bundle.gp)
+            assert bundle.features[16] == np.mean(list(scores.values()))
+            for entry in bundle.comparison:
+                assert entry.tfidf == scores[entry.element]
 
 
 class TestNoveltyTimeline:
