@@ -13,7 +13,6 @@ every substring. The brute-force scan lives in the tests as the oracle.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 from dataclasses import dataclass
@@ -326,20 +325,11 @@ def load_index(path: str | Path) -> BackgroundIndex:
         raise ParseError(
             f"{path}: expected {num_keys} key lines, found {len(body)} (truncated?)"
         )
-    # The rows hold no reference cycles, so the collector's passes over the
-    # growing postings would be pure cost.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        postings = _load_rows(body, str(path), cutoff_year, year_counts, n_papers)
-    finally:
-        if collecting:
-            gc.enable()
     return BackgroundIndex(
         cutoff_year=cutoff_year,
         n_papers=n_papers,
         year_counts=year_counts,
-        postings=postings,
+        postings=_load_rows(body, str(path), cutoff_year, year_counts, n_papers),
     )
 
 

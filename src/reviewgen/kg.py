@@ -4,13 +4,14 @@ A graph is built over a section scope: mentions are clustered (IE clusters
 plus implicit singletons), each cluster gets a representative mention (the
 longest informative one), clusters whose representatives contain one
 another are merged transitively, and relation annotations are remapped to
-the merged entities. Graphs compare across papers through ``ElementKey``
-values: one key per entity node, one per relation edge.
+the merged entities. Each mention is normalized once per graph, and only
+clusters whose representatives share a token are compared for merging.
+Graphs compare across papers through ``ElementKey`` values: one key per
+entity node, one per relation edge.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -44,9 +45,18 @@ def normalize(surface: str) -> NormalizedString:
     return tuple(t for t in tokens if any(ch.isalnum() for ch in t))
 
 
-def _mention_rank(mention: Mention) -> tuple:
-    norm = normalize(mention.surface)
-    return (-len(norm), norm, mention.mention_id)
+def _representative(
+    cluster: list[Mention], norms: dict[int, NormalizedString]
+) -> Mention:
+    """The best-ranked mention of a non-empty cluster; ``norms`` maps each
+    member's ``mention_id`` to its normalized surface."""
+
+    def rank(mention: Mention) -> tuple:
+        norm = norms[mention.mention_id]
+        return (-len(norm), norm, mention.mention_id)
+
+    informative = [m for m in cluster if m.entity_type is not EntityType.GENERIC]
+    return min(informative or cluster, key=rank)
 
 
 def representative_mention(cluster: list[Mention]) -> Mention:
@@ -59,9 +69,9 @@ def representative_mention(cluster: list[Mention]) -> Mention:
     """
     if not cluster:
         raise ValueError("empty cluster")
-    informative = [m for m in cluster if m.entity_type is not EntityType.GENERIC]
-    pool = informative or list(cluster)
-    return min(pool, key=_mention_rank)
+    return _representative(
+        cluster, {m.mention_id: normalize(m.surface) for m in cluster}
+    )
 
 
 def coreferential(a: NormalizedString, b: NormalizedString) -> bool:
@@ -196,41 +206,53 @@ def build_kg(paper: PaperRecord, scope: set[SectionKind]) -> KnowledgeGraph:
     Mentions outside the scope (or normalizing to nothing) are dropped,
     IE clusters are restricted accordingly and completed with singletons,
     and clusters are merged to the representative-containment fixed
-    point. Relations are remapped to merged entities, with self-loops
-    dropped and duplicate (head, relation, tail) triples collapsed onto
-    their first provenance.
+    point. Only groups whose representatives share a token are compared,
+    since containment implies a shared token. Relations are remapped to
+    merged entities, with self-loops dropped and duplicate (head,
+    relation, tail) triples collapsed onto their first provenance.
     """
     if not scope:
         raise ValueError("scope must be non-empty")
     scope = frozenset(scope)
 
     by_id = {m.mention_id: m for m in paper.annotations.mentions}
-    in_scope = {
-        m.mention_id
+    # each in-scope mention's normalized surface, computed once per call
+    norms: dict[int, NormalizedString] = {
+        m.mention_id: norm
         for m in paper.annotations.mentions
-        if m.section in scope and normalize(m.surface)
+        if m.section in scope and (norm := normalize(m.surface))
     }
 
     groups: list[list[Mention]] = []
     covered: set[int] = set()
     for cluster in paper.annotations.clusters:
-        members = [by_id[i] for i in cluster if i in in_scope]
+        members = [by_id[i] for i in cluster if i in norms]
         if members:
             groups.append(members)
             covered.update(m.mention_id for m in members)
     for m in paper.annotations.mentions:
-        if m.mention_id in in_scope and m.mention_id not in covered:
+        if m.mention_id in norms and m.mention_id not in covered:
             groups.append([m])
     groups.sort(key=lambda ms: min(m.mention_id for m in ms))
 
     # Merge groups whose representatives contain one another. One pairwise
     # pass is sufficient: a merged group's representative is always one of
     # the old representatives, so no merge creates a new containment pair.
-    reps = [normalize(representative_mention(g).surface) for g in groups]
+    # Two non-empty representatives can only be coreferential if they share
+    # a token, so only those pairs are compared; the union keeps the
+    # smallest index as root, so the order of the unions does not matter.
+    reps = [norms[_representative(g, norms).mention_id] for g in groups]
     uf = _UnionFind(len(groups))
-    for i, j in itertools.combinations(range(len(groups)), 2):
-        if uf.find(i) != uf.find(j) and coreferential(reps[i], reps[j]):
-            uf.union(i, j)
+    earlier_with_token: dict[str, list[int]] = {}
+    for j, rep in enumerate(reps):
+        sharing: set[int] = set()
+        for token in set(rep):
+            earlier = earlier_with_token.setdefault(token, [])
+            sharing.update(earlier)
+            earlier.append(j)
+        for i in sorted(sharing):
+            if uf.find(i) != uf.find(j) and coreferential(reps[i], reps[j]):
+                uf.union(i, j)
     regrouped: dict[int, list[Mention]] = {}
     for i, group in enumerate(groups):
         regrouped.setdefault(uf.find(i), []).extend(group)
@@ -238,10 +260,10 @@ def build_kg(paper: PaperRecord, scope: set[SectionKind]) -> KnowledgeGraph:
 
     merged_entities = []
     for group in groups:
-        rep = representative_mention(group)
+        rep = _representative(group, norms)
         merged_entities.append(
             (
-                normalize(rep.surface),
+                norms[rep.mention_id],
                 rep.surface,
                 sorted(group, key=lambda m: m.mention_id),
             )

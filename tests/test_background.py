@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 import json
 import random
 
@@ -500,21 +499,6 @@ class TestPersistence:
         self.rewrite_postings(index2018, path, edit)
         with pytest.raises(ParseError, match="more than n_papers 11"):
             load_index(path)
-
-    def test_collector_state_restored_after_a_failed_load(self, index2018, tmp_path):
-        path = tmp_path / "bg.json"
-        self.rewrite_postings(index2018, path, lambda number, refs: refs.reverse())
-        assert gc.isenabled()
-        with pytest.raises(ParseError):
-            load_index(path)
-        assert gc.isenabled()
-        gc.disable()
-        try:
-            with pytest.raises(ParseError):
-                load_index(path)
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
 
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "bg.json"

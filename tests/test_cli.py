@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import gc
 import json
 import shutil
 import struct
@@ -10,6 +11,7 @@ import struct
 import pytest
 
 from conftest import TOY_DIR, corrupted_backward, golden, run_cli
+from reviewgen import cli
 from reviewgen.cli import main
 from reviewgen.scoring import grad
 
@@ -332,6 +334,10 @@ TWICE_LABELS = json.dumps(
     json.loads(LABELS.read_text(encoding="utf-8"))
     + [{"paper_id": "P01", "reviews": [{"novelty": 1}]}]
 )
+# the toy labels with P01 misspelled as P1, which names no corpus paper
+UNKNOWN_PAPER_LABELS = LABELS.read_text(encoding="utf-8").replace(
+    '"paper_id": "P01"', '"paper_id": "P1"'
+)
 VARIANT_TRUE_TEMPLATES = json.dumps(
     {**json.loads(TEMPLATES.read_text(encoding="utf-8")), "variant": True}
 )
@@ -351,6 +357,12 @@ EXIT_CASES = {
     "train labels name a paper twice": (2, lambda t, d: [
         "train", _write(d / "l.json", TWICE_LABELS), "--corpus", PAPERS,
         "--index", t["index"], "--models", d / "m", "--epochs", "1"]),
+    "train labels name an unknown paper": (2, lambda t, d: [
+        "train", _write(d / "l.json", UNKNOWN_PAPER_LABELS), "--corpus", PAPERS,
+        "--index", t["index"], "--models", d / "m", "--epochs", "1"]),
+    "evaluate labels name an unknown paper": (2, lambda t, d: [
+        "evaluate", _write(d / "l.json", UNKNOWN_PAPER_LABELS),
+        "--corpus", PAPERS, "--index", t["index"], "--models", t["models"]]),
     "train zero epochs": (2, lambda t, d: [
         "train", LABELS, "--corpus", PAPERS, "--index", t["index"],
         "--models", d / "m", "--epochs", "0"]),
@@ -405,3 +417,55 @@ def test_failed_index_write_names_given_path(tmp_path, capsys, target):
     err = capsys.readouterr().err
     assert f"'{index}'" in err and ".tmp" not in err
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_unknown_label_ids_named_in_sorted_order(trained, tmp_path, capsys):
+    labels = json.loads(UNKNOWN_PAPER_LABELS) + [
+        {"paper_id": "Z9", "reviews": [{"novelty": 3}]},
+        {"paper_id": "A0", "reviews": [{"novelty": 3}]},
+    ]
+    argv = ["evaluate", _write(tmp_path / "l.json", json.dumps(labels)),
+            "--corpus", PAPERS, "--index", trained["index"],
+            "--models", trained["models"]]
+    assert main([str(a) for a in argv]) == 2
+    assert "not in the corpus: A0, P1, Z9\n" in capsys.readouterr().err
+
+
+class TestCollector:
+    """``main`` pauses the cyclic collector and restores the caller's state."""
+
+    def test_paused_while_a_command_runs(self, monkeypatch, tmp_path):
+        seen = []
+        real = cli.build_index
+
+        def build_index(*args):
+            seen.append(gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(cli, "build_index", build_index)
+        assert gc.isenabled()
+        argv = ["build-background", "--corpus", str(PAPERS), "--cutoff", "2017",
+                "--index", str(tmp_path / "bg.json")]
+        assert main(argv) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_caller_state_restored(self, tmp_path):
+        runs = {
+            0: ["build-background", "--corpus", PAPERS, "--cutoff", "2017",
+                "--index", tmp_path / "bg.json"],
+            2: ["grad-check", "--dims", "1,2"],
+            3: ["review", PAPERS / "P12.json", "--index", tmp_path / "none.json",
+                "--models", tmp_path],
+        }
+        try:
+            for collecting in (True, False):
+                if collecting:
+                    gc.enable()
+                else:
+                    gc.disable()
+                for code, argv in runs.items():
+                    assert main([str(a) for a in argv]) == code
+                    assert gc.isenabled() == collecting, (collecting, code)
+        finally:
+            gc.enable()

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from reviewgen import kg as kg_module
 from reviewgen.corpus import EntityType, RelationType, SectionKind, parse_paper
 from reviewgen.kg import (
     RELATED_SCOPE,
@@ -241,19 +242,46 @@ def minimal_two_mention_doc() -> dict:
     )
 
 
+def partition(kg) -> set[frozenset[int]]:
+    return {frozenset(m.mention_id for m in e.mentions) for e in kg.entities}
+
+
 class TestMergeClosureOracle:
     def test_partition_matches_random_order_merge_oracle(self):
         rng = random.Random(20260819)
-        for case in range(100):
-            record = build_random_paper(
-                rng, paper_id=f"R{case}", max_mentions=15, max_clusters=8
-            )
-            kg = build_kg(record, TARGET_SCOPE)
-            got = {
-                frozenset(m.mention_id for m in e.mentions) for e in kg.entities
-            }
-            want = oracle_partition(record, TARGET_SCOPE, rng)
-            assert got == want, f"case {case}"
+        for max_mentions, max_clusters in ((15, 8), (40, 15)):
+            for case in range(100):
+                record = build_random_paper(
+                    rng, paper_id=f"R{case}", max_mentions=max_mentions,
+                    max_clusters=max_clusters,
+                )
+                kg = build_kg(record, TARGET_SCOPE)
+                want = oracle_partition(record, TARGET_SCOPE, rng)
+                assert partition(kg) == want, f"case {case} ({max_mentions})"
+
+    def test_merge_compares_only_representatives_sharing_a_token(
+        self, corpus, monkeypatch
+    ):
+        calls = []
+        real = kg_module.coreferential
+
+        def spy(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(kg_module, "coreferential", spy)
+        rng = random.Random(20261018)
+        cases = [(p, scope) for p in corpus for scope in (TARGET_SCOPE, RELATED_SCOPE)]
+        cases += [
+            (build_random_paper(rng, paper_id=f"R{case}", max_mentions=40,
+                                max_clusters=15), TARGET_SCOPE)
+            for case in range(100)
+        ]
+        for record, scope in cases:
+            kg = build_kg(record, scope)
+            assert partition(kg) == oracle_partition(record, scope, rng)
+        assert calls
+        assert all(set(a) & set(b) for a, b in calls)
 
     def test_fixed_point_no_coreferential_pair_remains(self):
         rng = random.Random(5)
