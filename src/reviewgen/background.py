@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import NamedTuple
 
@@ -220,12 +221,6 @@ def tfidf(index: BackgroundIndex, paper_kg: KnowledgeGraph) -> dict[ElementKey, 
     return scores
 
 
-def _key_to_fields(key: ElementKey) -> list:
-    if key.is_edge:
-        return ["edge", " ".join(key.head), key.relation.value, " ".join(key.tail)]
-    return ["node", " ".join(key.head)]
-
-
 def _tokens(
     text: object, locus: str, interned: dict[str, NormalizedString]
 ) -> NormalizedString:
@@ -265,7 +260,9 @@ def save_index(index: BackgroundIndex, path: str | Path) -> None:
 
     Line 1 is a JSON header; each following line is one element key with
     its postings, in key order. The write is atomic (temp file + rename)
-    and byte-stable for equal indexes.
+    and byte-stable for equal indexes. Each row is formatted directly,
+    with the string encoder and separators of ``json.dumps(row,
+    ensure_ascii=False)``, and has the same bytes.
     """
     path = Path(path)
     header = {
@@ -277,11 +274,19 @@ def save_index(index: BackgroundIndex, path: str | Path) -> None:
         "num_keys": len(index.postings),
     }
     lines = [json.dumps(header, sort_keys=True, ensure_ascii=False)]
+    enc = encode_basestring
     for key in sorted(index.postings, key=ElementKey.sort_key):
-        row = _key_to_fields(key) + [
-            [[ref.paper_id, ref.year] for ref in index.postings[key]]
-        ]
-        lines.append(json.dumps(row, ensure_ascii=False))
+        head, relation, tail = key
+        refs = "], [".join(
+            ["%s, %d" % (enc(paper_id), year) for paper_id, year in index.postings[key]]
+        )
+        if relation is None:
+            lines.append(f'["node", {enc(" ".join(head))}, [[{refs}]]]')
+        else:
+            lines.append(
+                f'["edge", {enc(" ".join(head))}, {enc(relation.value)}, '
+                f'{enc(" ".join(tail))}, [[{refs}]]]'
+            )
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -293,7 +298,11 @@ def load_index(path: str | Path) -> BackgroundIndex:
     refs sorted and unique, and no more distinct papers than ``n_papers``.
     """
     path = Path(path)
-    lines = _read_text(path).splitlines()
+    # rows end in "\n" alone: U+2028 and the other breaks that
+    # str.splitlines() honours may stand unescaped inside a JSON string
+    lines = _read_text(path).split("\n")
+    if lines[-1] == "":
+        del lines[-1]
     if not lines:
         raise FormatVersionError(f"{path}: empty index file")
     try:

@@ -4,7 +4,10 @@ A paper arrives as a single self-contained JSON document carrying its
 sectioned sentences, entity mentions, coreference clusters, and relation
 annotations (the output of an upstream IE system, consumed as-is).
 Review labels arrive as one JSON document per corpus. Parsing is strict:
-unknown fields are rejected so format drift surfaces immediately.
+unknown fields are rejected so format drift surfaces immediately. A
+paper's per-item fields (mentions, relations, cluster members,
+citations) are each tested once, inline, and an error's locus string is
+built only when the check fails.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Set
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -19,8 +23,14 @@ from pathlib import Path
 from reviewgen.errors import ParseError, ValidationError
 
 
+# Enum members are singletons and compare by identity, so the three
+# annotation enums hash by identity too: ``object.__hash__`` runs in C,
+# where ``Enum.__hash__`` is a Python call on every dict and set lookup.
+# Never iterate a set of them where order shows; use the enum's order.
 class SectionKind(Enum):
     """The four section scopes a paper may provide."""
+
+    __hash__ = object.__hash__
 
     ABSTRACT = "abstract"
     CONCLUSION = "conclusion"
@@ -30,6 +40,8 @@ class SectionKind(Enum):
 
 class EntityType(Enum):
     """Entity mention types, ordered by specificity (used for tie-breaking)."""
+
+    __hash__ = object.__hash__
 
     TASK = "task"
     METHOD = "method"
@@ -41,6 +53,8 @@ class EntityType(Enum):
 
 class RelationType(Enum):
     """Relation edge types between entities."""
+
+    __hash__ = object.__hash__
 
     USED_FOR = "used_for"
     FEATURE_OF = "feature_of"
@@ -137,7 +151,7 @@ class ReviewLabels:
     per_review: tuple[dict[Category, int], ...]
 
 
-def _check_keys(obj: dict, required: set[str], optional: set[str], locus: str) -> None:
+def _check_keys(obj: dict, required: Set[str], optional: Set[str], locus: str) -> None:
     if not isinstance(obj, dict):
         raise ParseError(f"{locus}: expected an object, got {type(obj).__name__}")
     if obj.keys() == required:
@@ -217,66 +231,99 @@ def _parse_sections(raw: dict, locus: str) -> dict[SectionKind, tuple[Sentence, 
     return sections
 
 
-def _parse_mention(raw: dict, sections, locus: str) -> Mention:
-    _check_keys(raw, {"id", "section", "sentence", "span", "type"}, set(), locus)
-    mention_id = _as_int(raw["id"], f"{locus}.id")
-    section_name = _as_str(raw["section"], f"{locus}.section")
-    if section_name not in _SECTION_BY_VALUE:
-        raise ParseError(f"{locus}.section: unknown section {section_name!r}")
-    section = _SECTION_BY_VALUE[section_name]
-    sentence_index = _as_int(raw["sentence"], f"{locus}.sentence")
-    type_name = _as_str(raw["type"], f"{locus}.type")
-    if type_name not in _ENTITY_TYPE_BY_VALUE:
-        raise ParseError(f"{locus}.type: unknown entity type {type_name!r}")
-    span_raw = raw["span"]
-    if not isinstance(span_raw, list) or len(span_raw) != 2:
-        raise ParseError(f"{locus}.span: expected [start, end]")
-    start = _as_int(span_raw[0], f"{locus}.span[0]")
-    end = _as_int(span_raw[1], f"{locus}.span[1]")
+_MENTION_FIELDS = frozenset({"id", "section", "sentence", "span", "type"})
+_RELATION_FIELDS = frozenset({"head_id", "tail_id", "type", "section", "sentence"})
 
-    if section not in sections or not 0 <= sentence_index < len(sections[section]):
+
+def _parse_mention(raw: dict, sections, where: str, i: int) -> Mention:
+    """Mention ``i`` of the list at ``where``; each field is tested once,
+    inline, and the locus ``where[i]`` is formatted only to raise."""
+    if type(raw) is not dict or raw.keys() != _MENTION_FIELDS:
+        _check_keys(raw, _MENTION_FIELDS, set(), f"{where}[{i}]")
+    mention_id = raw["id"]
+    if type(mention_id) is not int:
+        _as_int(mention_id, f"{where}[{i}].id")
+    section_name = raw["section"]
+    if type(section_name) is not str:
+        _as_str(section_name, f"{where}[{i}].section")
+    section = _SECTION_BY_VALUE.get(section_name)
+    if section is None:
+        raise ParseError(f"{where}[{i}].section: unknown section {section_name!r}")
+    sentence_index = raw["sentence"]
+    if type(sentence_index) is not int:
+        _as_int(sentence_index, f"{where}[{i}].sentence")
+    type_name = raw["type"]
+    if type(type_name) is not str:
+        _as_str(type_name, f"{where}[{i}].type")
+    entity_type = _ENTITY_TYPE_BY_VALUE.get(type_name)
+    if entity_type is None:
+        raise ParseError(f"{where}[{i}].type: unknown entity type {type_name!r}")
+    span = raw["span"]
+    if not isinstance(span, list) or len(span) != 2:
+        raise ParseError(f"{where}[{i}].span: expected [start, end]")
+    start, end = span
+    if type(start) is not int:
+        _as_int(start, f"{where}[{i}].span[0]")
+    if type(end) is not int:
+        _as_int(end, f"{where}[{i}].span[1]")
+
+    sentences = sections.get(section)
+    if sentences is None or not 0 <= sentence_index < len(sentences):
         raise ValidationError(
-            f"{locus}: mention {mention_id} points at missing sentence "
+            f"{where}[{i}]: mention {mention_id} points at missing sentence "
             f"{section_name}[{sentence_index}]"
         )
-    tokens = sections[section][sentence_index].tokens
+    tokens = sentences[sentence_index].tokens
     if not (0 <= start < end <= len(tokens)):
         raise ValidationError(
-            f"{locus}: mention {mention_id} span [{start},{end}) outside sentence "
-            f"of length {len(tokens)}"
+            f"{where}[{i}]: mention {mention_id} span [{start},{end}) outside "
+            f"sentence of length {len(tokens)}"
         )
-    surface = " ".join(tokens[start:end])
     return Mention(
-        mention_id, section, sentence_index, (start, end), surface,
-        _ENTITY_TYPE_BY_VALUE[type_name],
+        mention_id, section, sentence_index, (start, end),
+        " ".join(tokens[start:end]), entity_type,
     )
 
 
-def _parse_relation(raw: dict, sections, mention_ids: set[int], locus: str) -> RelationAnnotation:
-    _check_keys(raw, {"head_id", "tail_id", "type", "section", "sentence"}, set(), locus)
-    head_id = _as_int(raw["head_id"], f"{locus}.head_id")
-    tail_id = _as_int(raw["tail_id"], f"{locus}.tail_id")
+def _parse_relation(
+    raw: dict, sections, mention_ids: set[int], where: str, i: int
+) -> RelationAnnotation:
+    """Relation ``i`` of the list at ``where``, checked like a mention."""
+    if type(raw) is not dict or raw.keys() != _RELATION_FIELDS:
+        _check_keys(raw, _RELATION_FIELDS, set(), f"{where}[{i}]")
+    head_id = raw["head_id"]
+    if type(head_id) is not int:
+        _as_int(head_id, f"{where}[{i}].head_id")
+    tail_id = raw["tail_id"]
+    if type(tail_id) is not int:
+        _as_int(tail_id, f"{where}[{i}].tail_id")
     for endpoint in (head_id, tail_id):
         if endpoint not in mention_ids:
             raise ValidationError(
-                f"{locus}: relation endpoint out of range (mention {endpoint})"
+                f"{where}[{i}]: relation endpoint out of range (mention {endpoint})"
             )
-    type_name = _as_str(raw["type"], f"{locus}.type")
-    if type_name not in _RELATION_BY_VALUE:
-        raise ParseError(f"{locus}.type: unknown relation type {type_name!r}")
-    section_name = _as_str(raw["section"], f"{locus}.section")
-    if section_name not in _SECTION_BY_VALUE:
-        raise ParseError(f"{locus}.section: unknown section {section_name!r}")
-    section = _SECTION_BY_VALUE[section_name]
-    sentence_index = _as_int(raw["sentence"], f"{locus}.sentence")
-    if section not in sections or not 0 <= sentence_index < len(sections[section]):
+    type_name = raw["type"]
+    if type(type_name) is not str:
+        _as_str(type_name, f"{where}[{i}].type")
+    relation = _RELATION_BY_VALUE.get(type_name)
+    if relation is None:
+        raise ParseError(f"{where}[{i}].type: unknown relation type {type_name!r}")
+    section_name = raw["section"]
+    if type(section_name) is not str:
+        _as_str(section_name, f"{where}[{i}].section")
+    section = _SECTION_BY_VALUE.get(section_name)
+    if section is None:
+        raise ParseError(f"{where}[{i}].section: unknown section {section_name!r}")
+    sentence_index = raw["sentence"]
+    if type(sentence_index) is not int:
+        _as_int(sentence_index, f"{where}[{i}].sentence")
+    sentences = sections.get(section)
+    if sentences is None or not 0 <= sentence_index < len(sentences):
         raise ValidationError(
-            f"{locus}: relation points at missing sentence "
+            f"{where}[{i}]: relation points at missing sentence "
             f"{section_name}[{sentence_index}]"
         )
-    return RelationAnnotation(
-        head_id, tail_id, _RELATION_BY_VALUE[type_name], section, sentence_index
-    )
+    return RelationAnnotation(head_id, tail_id, relation, section, sentence_index)
 
 
 def parse_paper(raw, locus: str = "paper") -> PaperRecord:
@@ -302,7 +349,8 @@ def parse_paper(raw, locus: str = "paper") -> PaperRecord:
         raise ParseError(f"{locus}.citations: expected a list")
     citations = []
     for i, cid in enumerate(citations_raw):
-        cid = _as_str(cid, f"{locus}.citations[{i}]")
+        if type(cid) is not str:
+            _as_str(cid, f"{locus}.citations[{i}]")
         if not cid:
             raise ValidationError(f"{locus}.citations[{i}]: empty citation id")
         citations.append(cid)
@@ -312,9 +360,9 @@ def parse_paper(raw, locus: str = "paper") -> PaperRecord:
     mentions_raw = raw["mentions"]
     if not isinstance(mentions_raw, list):
         raise ParseError(f"{locus}.mentions: expected a list")
+    where = f"{locus}.mentions"
     mentions = tuple(
-        _parse_mention(m, sections, f"{locus}.mentions[{i}]")
-        for i, m in enumerate(mentions_raw)
+        _parse_mention(m, sections, where, i) for i, m in enumerate(mentions_raw)
     )
     mention_ids = {m.mention_id for m in mentions}
     if len(mention_ids) != len(mentions):
@@ -332,7 +380,8 @@ def parse_paper(raw, locus: str = "paper") -> PaperRecord:
             raise ValidationError(f"{locus}.clusters[{i}]: empty cluster")
         members = []
         for mid in cluster_raw:
-            mid = _as_int(mid, f"{locus}.clusters[{i}]")
+            if type(mid) is not int:
+                _as_int(mid, f"{locus}.clusters[{i}]")
             if mid not in mention_ids:
                 raise ValidationError(
                     f"{locus}.clusters[{i}]: unknown mention id {mid}"
@@ -348,8 +397,9 @@ def parse_paper(raw, locus: str = "paper") -> PaperRecord:
     relations_raw = raw["relations"]
     if not isinstance(relations_raw, list):
         raise ParseError(f"{locus}.relations: expected a list")
+    where = f"{locus}.relations"
     relations = tuple(
-        _parse_relation(r, sections, mention_ids, f"{locus}.relations[{i}]")
+        _parse_relation(r, sections, mention_ids, where, i)
         for i, r in enumerate(relations_raw)
     )
 

@@ -42,6 +42,8 @@ def normalize(surface: str) -> NormalizedString:
     as an invalid mention.
     """
     tokens = surface.lower().split()
+    if all(map(str.isalnum, tokens)):  # split() yields no empty token
+        return tuple(tokens)
     return tuple(t for t in tokens if any(ch.isalnum() for ch in t))
 
 
@@ -190,6 +192,8 @@ class _UnionFind:
 
 def _entity_type_of(mentions: list[Mention]) -> EntityType:
     """Majority type; ties go to the more specific type (enum order)."""
+    if len(mentions) == 1:
+        return mentions[0].entity_type
     counts: dict[EntityType, int] = {}
     for m in mentions:
         counts[m.entity_type] = counts.get(m.entity_type, 0) + 1

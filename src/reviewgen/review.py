@@ -132,8 +132,8 @@ def _validate_templates(tset: TemplateSet) -> None:
                         f"category {category.value!r}: unknown slot "
                         f"{sorted(bad)[0]!r}"
                     )
-    for relation in SUMMARY_RELATIONS:
-        if relation not in tset.relation_phrases:
+    for relation in RelationType:  # enum order, so the first missing is fixed
+        if relation in SUMMARY_RELATIONS and relation not in tset.relation_phrases:
             raise ValidationError(
                 f"relation_phrases missing {relation.value!r}"
             )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,13 +18,16 @@ TOY_DIR = Path(reviewgen.__file__).parent / "data" / "toy"
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
-def run_cli(*args: object, cwd: str | None = None) -> subprocess.CompletedProcess:
-    """Run the installed CLI in a fresh interpreter."""
+def run_cli(
+    *args: object, cwd: str | None = None, env: dict[str, str] | None = None
+) -> subprocess.CompletedProcess:
+    """Run the installed CLI in a fresh interpreter; ``env`` adds variables."""
     return subprocess.run(
         [sys.executable, "-m", "reviewgen.cli", *map(str, args)],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=None if env is None else {**os.environ, **env},
     )
 
 

@@ -8,10 +8,11 @@ evidence of correctness rather than the same code run twice.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
-from reviewgen.background import build_index
+from reviewgen.background import PaperRef, build_index
 from reviewgen.corpus import PaperRecord, parse_paper
 from reviewgen.evidence import extract_novelty
 from reviewgen.kg import TARGET_SCOPE, ElementKey, build_kg, elements
@@ -249,6 +250,18 @@ def oracle_key_match(query: ElementKey, candidate: ElementKey) -> bool:
             and oracle_coref(query.tail, candidate.tail)
         )
     return oracle_coref(query.head, candidate.head)
+
+
+def oracle_index_row(key: ElementKey, refs: tuple[PaperRef, ...]) -> str:
+    """One ``save_index`` body line, built as a list and run through
+    ``json.dumps`` (the writer formats the same bytes directly)."""
+    if key.is_edge:
+        fields = ["edge", " ".join(key.head), key.relation.value, " ".join(key.tail)]
+    else:
+        fields = ["node", " ".join(key.head)]
+    return json.dumps(
+        fields + [[[ref.paper_id, ref.year] for ref in refs]], ensure_ascii=False
+    )
 
 
 def oracle_novelty(

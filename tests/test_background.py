@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reviewgen.background import (
     BackgroundIndex,
@@ -17,7 +21,7 @@ from reviewgen.background import (
     save_index,
     tfidf,
 )
-from reviewgen.corpus import parse_paper
+from reviewgen.corpus import RelationType, parse_paper
 from reviewgen.errors import (
     CutoffMismatchError,
     FormatVersionError,
@@ -28,6 +32,7 @@ from reviewgen.kg import TARGET_SCOPE, ElementKey, build_kg, elements
 from synth import (
     build_random_corpus,
     build_random_paper,
+    oracle_index_row,
     oracle_key_match,
     oracle_tfidf,
 )
@@ -509,3 +514,53 @@ class TestPersistence:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ParseError):
             load_index(tmp_path / "nope.json")
+
+
+# Index text that JSON must escape or may leave raw: quotes, backslashes,
+# control characters, the breaks that str.splitlines() honours, non-ASCII.
+# A token holds no space; the writer joins tokens with one.
+AWKWARD_TEXT = st.text(
+    st.sampled_from(list('ab"\\/\t\r\n\x00\x1f\x7f\x85\xe9\u2028\u2029\U0001f600'))
+    | st.characters(blacklist_characters=" ", blacklist_categories=("Cs",)),
+    min_size=1,
+    max_size=6,
+)
+TOKENS = st.lists(AWKWARD_TEXT, min_size=1, max_size=3).map(tuple)
+ELEMENT_KEYS = TOKENS.map(ElementKey.node) | st.builds(
+    ElementKey.edge, TOKENS, st.sampled_from(list(RelationType)), TOKENS
+)
+
+
+@st.composite
+def awkward_indexes(draw) -> BackgroundIndex:
+    """An index that keeps every ``load_index`` invariant, over awkward text."""
+    years = draw(st.dictionaries(AWKWARD_TEXT, st.integers(1900, 2017),
+                                 min_size=1, max_size=4))
+    refs = sorted(PaperRef(p, y) for p, y in years.items())
+    keys = draw(st.lists(ELEMENT_KEYS, min_size=1, max_size=6, unique=True))
+    postings = {
+        key: tuple(draw(st.lists(st.sampled_from(refs), min_size=1, unique=True)
+                        .map(sorted)))
+        for key in keys
+    }
+    year_counts: dict[int, int] = {}
+    for year in years.values():
+        year_counts[year] = year_counts.get(year, 0) + 1
+    return BackgroundIndex(2018, len(years), year_counts, postings)
+
+
+class TestRowEncoding:
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(awkward_indexes())
+    def test_rows_equal_json_dumps_and_round_trip(self, index):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bg.json"
+            save_index(index, path)
+            header, *rows, end = path.read_bytes().split(b"\n")
+            assert end == b""
+            expected = [
+                oracle_index_row(key, index.postings[key]).encode("utf-8")
+                for key in sorted(index.postings, key=ElementKey.sort_key)
+            ]
+            assert rows == expected
+            assert load_index(path) == index

@@ -75,6 +75,31 @@ class TestNoveltyTimeline:
             assert result.returncode == 2, years
 
 
+class TestHashSeedIndependence:
+    @pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
+    def test_outputs_match_goldens(self, hash_seed, trained, tmp_path):
+        """Indexes, reviews and timelines are byte-identical under any
+        PYTHONHASHSEED: each command's output equals its golden."""
+        env = {"PYTHONHASHSEED": hash_seed}
+        index = tmp_path / "bg.json"
+        cutoff = trained["recipe"]["cutoff"]
+        result = run_cli("build-background", "--corpus", PAPERS, "--cutoff", cutoff,
+                         "--index", index, env=env)
+        assert result.returncode == 0, result.stderr
+        assert index.read_bytes() == trained["index"].read_bytes()
+        result = run_cli("build-background", "--corpus", PAPERS, "--cutoff", 2017,
+                         "--index", tmp_path / "bg2017.json", env=env)
+        assert result.stdout == golden("build_background.txt")
+        for fmt, name in (("markdown", "p12_review.md"), ("json", "p12_review.json")):
+            result = run_cli("review", PAPERS / "P12.json", "--index", index,
+                             "--models", trained["models"], "--format", fmt, env=env)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout == golden(name)
+        result = run_cli("novelty-timeline", PAPERS / "P12.json", "--corpus", PAPERS,
+                         "--years", "2012..2018", env=env)
+        assert result.stdout == golden("timeline.txt")
+
+
 class TestGradCheck:
     def test_passes(self):
         result = run_cli("grad-check", "--seed", 3)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,6 +125,30 @@ class TestTemplateParsing:
         del raw["relation_phrases"]["compare"]
         with pytest.raises(ValidationError, match="compare"):
             parse_templates(raw)
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1"])
+    def test_first_missing_phrase_is_in_relation_order(self, hash_seed):
+        # USED_FOR precedes COMPARE in RelationType, whatever the hash seed
+        script = (
+            "import json, sys\n"
+            "from reviewgen.review import parse_templates\n"
+            "raw = json.loads(sys.stdin.read())\n"
+            "del raw['relation_phrases']['compare']\n"
+            "del raw['relation_phrases']['used_for']\n"
+            "try:\n"
+            "    parse_templates(raw)\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            input=TEMPLATE_PATH.read_text(encoding="utf-8"),
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "ValidationError relation_phrases missing 'used_for'\n"
 
     def test_unknown_category_name_rejected(self):
         raw = raw_templates()
