@@ -24,7 +24,6 @@ from typing import NamedTuple
 from reviewgen.corpus import (
     _RELATION_BY_VALUE,
     PaperRecord,
-    SectionKind,
     _read_text,
     _write_atomic,
 )
@@ -118,15 +117,11 @@ def _keys_match(query: ElementKey, candidate: ElementKey) -> bool:
     )
 
 
-def build_index(
-    corpus: list[PaperRecord],
-    cutoff_year: int,
-    scope: frozenset[SectionKind] = TARGET_SCOPE,
-) -> BackgroundIndex:
+def build_index(corpus: list[PaperRecord], cutoff_year: int) -> BackgroundIndex:
     """Index the elements of every corpus paper with year < cutoff_year.
 
-    Per-paper graphs are built over ``scope`` (abstract + conclusion by
-    default; indexing whole bodies inflates document frequencies).
+    Per-paper graphs are built over the abstract and conclusion
+    (``TARGET_SCOPE``); indexing whole bodies inflates document frequencies.
     """
     seen_ids: set[str] = set()
     for paper in corpus:
@@ -141,7 +136,7 @@ def build_index(
             continue
         year_counts[paper.year] = year_counts.get(paper.year, 0) + 1
         ref = PaperRef(paper.paper_id, paper.year)
-        for key in elements(build_kg(paper, scope)):
+        for key in elements(build_kg(paper, TARGET_SCOPE)):
             postings.setdefault(key, []).append(ref)
 
     return BackgroundIndex(

@@ -107,42 +107,6 @@ def _paper_index(
     return restrict(index, effective)
 
 
-def _category_sequences(
-    papers: list[PaperRecord],
-    bundles: dict[str, EvidenceBundle],
-    category: Category,
-    max_seq_len: int,
-) -> dict[str, tuple[str, ...]]:
-    """Each paper's token sequence for ``category``, keyed by paper id."""
-    return {
-        p.paper_id: category_sentences(p, bundles[p.paper_id], category, max_seq_len)
-        for p in papers
-    }
-
-
-def _category_dataset(
-    sequences: dict[str, tuple[str, ...]],
-    bundles: dict[str, EvidenceBundle],
-    targets: dict[str, dict[Category, int]],
-    category: Category,
-    vocab: Vocab,
-) -> list[TrainingExample]:
-    """One example per paper that has a target score in ``category``."""
-    examples = []
-    for paper_id, tokens in sequences.items():
-        score = targets[paper_id].get(category)
-        if score is None:
-            continue
-        examples.append(
-            TrainingExample(
-                token_ids=vocab.encode(tokens),
-                features=bundles[paper_id].features,
-                target=score - 1,
-            )
-        )
-    return examples
-
-
 def cmd_build_background(args: argparse.Namespace) -> int:
     index = build_index(load_corpus(args.corpus), args.cutoff)
     save_index(index, args.index)
@@ -199,9 +163,22 @@ def cmd_train(args: argparse.Namespace) -> int:
     model_dir.mkdir(parents=True, exist_ok=True)
     for category in SCOREABLE_CATEGORIES:
         # the vocab counts every labelled paper, scored in this category or not
-        sequences = _category_sequences(papers, bundles, category, config.max_seq_len)
+        sequences = {
+            p.paper_id: category_sentences(
+                p, bundles[p.paper_id], category, config.max_seq_len
+            )
+            for p in papers
+        }
         vocab = Vocab.build(sequences.values(), min_count=config.min_count)
-        dataset = _category_dataset(sequences, bundles, targets, category, vocab)
+        dataset = [
+            TrainingExample(
+                token_ids=vocab.encode(tokens),
+                features=bundles[paper_id].features,
+                target=targets[paper_id][category] - 1,
+            )
+            for paper_id, tokens in sequences.items()
+            if category in targets[paper_id]
+        ]
         if not dataset:
             raise ValidationError(f"no labeled examples for category {category.value}")
         params = train(
@@ -224,19 +201,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     models = _load_models(args.models)
     papers, bundles, targets = _prepare_labeled(corpus, labels, index, args.cutoff)
 
-    dataset = {
-        category: _category_dataset(
-            _category_sequences(
-                papers, bundles, category, models[category].max_seq_len
-            ),
-            bundles,
-            targets,
-            category,
-            models[category].vocab,
-        )
-        for category in SCOREABLE_CATEGORIES
-    }
-    metrics = evaluate(models, dataset)
+    reports = [predict_scores(p, bundles[p.paper_id], models) for p in papers]
+    metrics = evaluate(reports, targets)
     for category in SCOREABLE_CATEGORIES:
         m = metrics[category]
         print(f"{category.value} accuracy {m.accuracy:.4f} mse {m.mse:.4f}")

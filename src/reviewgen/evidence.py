@@ -92,30 +92,20 @@ def extract_summary(gp: KnowledgeGraph) -> KnowledgeGraph:
     return KnowledgeGraph(gp.paper_id, gp.scope, entities, edges)
 
 
-def _novelty_candidates(gp: KnowledgeGraph, include_generic: bool) -> list[ElementKey]:
-    if include_generic:
-        return elements(gp)
+def _novelty_candidates(gp: KnowledgeGraph) -> list[ElementKey]:
     generic_reps = {
         e.representative for e in gp.entities if e.entity_type is EntityType.GENERIC
     }
     return [k for k in elements(gp) if k.is_edge or k.head not in generic_reps]
 
 
-def extract_novelty(
-    gp: KnowledgeGraph,
-    index: BackgroundIndex,
-    include_generic: bool = False,
-) -> list[ElementKey]:
+def extract_novelty(gp: KnowledgeGraph, index: BackgroundIndex) -> list[ElementKey]:
     """Elements of ``gp`` with no fuzzy match anywhere in the background.
 
-    Node keys of generic-typed entities are excluded by default ("it",
-    "this method" would otherwise dominate the counts).
+    Node keys of generic-typed entities are excluded ("it", "this method"
+    would otherwise dominate the counts).
     """
-    return [
-        key
-        for key in _novelty_candidates(gp, include_generic)
-        if not match_element(index, key)
-    ]
+    return [key for key in _novelty_candidates(gp) if not match_element(index, key)]
 
 
 def extract_comparison(
@@ -231,7 +221,7 @@ def novelty_timeline(
     # last cutoff when nothing matches (new at every cutoff)
     oldest = []
     for paper in papers:
-        for key in _novelty_candidates(build_kg(paper, TARGET_SCOPE), False):
+        for key in _novelty_candidates(build_kg(paper, TARGET_SCOPE)):
             refs = match_element(index, key)  # year descending
             oldest.append(refs[-1].year if refs else years[-1])
     return NoveltyTimeline(

@@ -245,7 +245,8 @@ def build_kg(paper: PaperRecord, scope: set[SectionKind]) -> KnowledgeGraph:
     # Two non-empty representatives can only be coreferential if they share
     # a token, so only those pairs are compared; the union keeps the
     # smallest index as root, so the order of the unions does not matter.
-    reps = [norms[_representative(g, norms).mention_id] for g in groups]
+    rep_mentions = [_representative(g, norms) for g in groups]
+    reps = [norms[m.mention_id] for m in rep_mentions]
     uf = _UnionFind(len(groups))
     earlier_with_token: dict[str, list[int]] = {}
     for j, rep in enumerate(reps):
@@ -257,19 +258,26 @@ def build_kg(paper: PaperRecord, scope: set[SectionKind]) -> KnowledgeGraph:
         for i in sorted(sharing):
             if uf.find(i) != uf.find(j) and coreferential(reps[i], reps[j]):
                 uf.union(i, j)
-    regrouped: dict[int, list[Mention]] = {}
-    for i, group in enumerate(groups):
-        regrouped.setdefault(uf.find(i), []).extend(group)
-    groups = [regrouped[root] for root in sorted(regrouped)]
+    members: dict[int, list[int]] = {}
+    for i in range(len(groups)):
+        members.setdefault(uf.find(i), []).append(i)
 
+    # The rank puts informative mentions first, so the best of the member
+    # groups' representatives is the best mention of the merged group.
     merged_entities = []
-    for group in groups:
-        rep = _representative(group, norms)
+    for parts in members.values():
+        if len(parts) == 1:
+            rep = rep_mentions[parts[0]]
+        else:
+            rep = _representative([rep_mentions[i] for i in parts], norms)
         merged_entities.append(
             (
                 norms[rep.mention_id],
                 rep.surface,
-                sorted(group, key=lambda m: m.mention_id),
+                sorted(
+                    (m for i in parts for m in groups[i]),
+                    key=lambda m: m.mention_id,
+                ),
             )
         )
     merged_entities.sort(key=lambda item: item[0])

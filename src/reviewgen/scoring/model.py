@@ -45,7 +45,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 20
     seed: int = 0
-    clip_norm: float = 5.0
     max_seq_len: int = 128
     min_count: int = 1
 

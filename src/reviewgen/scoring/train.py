@@ -49,6 +49,7 @@ NUM_SCORE_CLASSES = 5
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+CLIP_NORM = 5.0  # global gradient-norm ceiling per step
 
 MODEL_FORMAT = "reviewgen-score-model"
 MODEL_VERSION = 1
@@ -99,11 +100,11 @@ def _canonical_order(dataset: Sequence[TrainingExample]) -> list[TrainingExample
     )
 
 
-def _clip_global_norm(grads: dict[str, np.ndarray], clip_norm: float) -> None:
+def _clip_global_norm(grads: dict[str, np.ndarray]) -> None:
     total = sum(float(np.sum(g * g)) for g in grads.values())
     norm = math.sqrt(total)
-    if clip_norm > 0 and norm > clip_norm:
-        scale = clip_norm / norm
+    if norm > CLIP_NORM:
+        scale = CLIP_NORM / norm
         for g in grads.values():
             g *= scale
 
@@ -142,7 +143,7 @@ def train(
             total_loss += loss(trace.probs, ex.target)
             correct += int(np.argmax(trace.probs)) == ex.target
             grads = backward(ids, ex.features, ex.target, params, trace)
-            _clip_global_norm(grads, config.clip_norm)
+            _clip_global_norm(grads)
             step += 1
             bc1 = 1.0 - ADAM_BETA1**step
             bc2 = 1.0 - ADAM_BETA2**step
@@ -194,30 +195,27 @@ def predict_scores(
 
 
 def evaluate(
-    models: Mapping[Category, ScoreModel],
-    dataset: Mapping[Category, Sequence[TrainingExample]],
+    reports: Sequence[ScoreReport],
+    targets: Mapping[str, Mapping[Category, int]],
 ) -> dict[Category, EvalMetrics]:
-    """Exact-match accuracy and squared error of predicted 1-5 scores."""
-    if not dataset or all(not exs for exs in dataset.values()):
-        raise EmptyDatasetError("cannot evaluate on an empty dataset")
+    """Exact-match accuracy and squared error of the reports' 1-5 scores
+    against ``targets[paper_id]``, per category, over the papers scored in it."""
     metrics: dict[Category, EvalMetrics] = {}
-    for category, examples in dataset.items():
-        if not examples:
-            continue
-        model = models.get(category)
-        if model is None:
-            raise MissingModelError(category.value)
-        hits = 0
-        sq_err = 0.0
-        for ex in examples:
-            ids = ex.token_ids[: model.max_seq_len]
-            probs = forward(ids, ex.features, model.params)
-            predicted = int(np.argmax(probs)) + 1
-            target = ex.target + 1
-            hits += predicted == target
-            sq_err += (predicted - target) ** 2
-        n = len(examples)
-        metrics[category] = EvalMetrics(accuracy=hits / n, mse=sq_err / n)
+    for category in SCOREABLE_CATEGORIES:
+        pairs = [
+            (report.scores[category].score, targets[report.paper_id][category])
+            for report in reports
+            if category in targets[report.paper_id]
+        ]
+        if not pairs:
+            raise EmptyDatasetError(
+                f"no labeled examples for category {category.value}"
+            )
+        n = len(pairs)
+        metrics[category] = EvalMetrics(
+            accuracy=sum(p == t for p, t in pairs) / n,
+            mse=sum((p - t) ** 2 for p, t in pairs) / n,
+        )
     return metrics
 
 

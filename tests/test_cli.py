@@ -161,6 +161,15 @@ class TestEvaluate:
         )
         assert result.returncode == 3
 
+    def test_category_without_labels_named(self, trained, tmp_path):
+        result = run_cli(
+            "evaluate", _write(tmp_path / "l.json", NO_CLARITY_LABELS),
+            "--corpus", PAPERS, "--index", trained["index"],
+            "--models", trained["models"],
+        )
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == "error: no labeled examples for category clarity\n"
+
 
 class TestReview:
     def test_markdown_matches_golden(self, trained):
@@ -363,6 +372,14 @@ TWICE_LABELS = json.dumps(
 UNKNOWN_PAPER_LABELS = LABELS.read_text(encoding="utf-8").replace(
     '"paper_id": "P01"', '"paper_id": "P1"'
 )
+# the toy labels with every clarity score dropped
+NO_CLARITY_LABELS = json.dumps([
+    {**entry, "reviews": [
+        {k: v for k, v in review.items() if k != "clarity"}
+        for review in entry["reviews"]
+    ]}
+    for entry in json.loads(LABELS.read_text(encoding="utf-8"))
+])
 VARIANT_TRUE_TEMPLATES = json.dumps(
     {**json.loads(TEMPLATES.read_text(encoding="utf-8")), "variant": True}
 )
@@ -402,6 +419,9 @@ EXIT_CASES = {
         "--corpus", PAPERS, "--index", t["index"], "--models", d / "m"]),
     "evaluate only an empty review": (2, lambda t, d: [
         "evaluate", _write(d / "l.json", EMPTY_REVIEW_LABELS),
+        "--corpus", PAPERS, "--index", t["index"], "--models", t["models"]]),
+    "evaluate labels lack a category": (2, lambda t, d: [
+        "evaluate", _write(d / "l.json", NO_CLARITY_LABELS),
         "--corpus", PAPERS, "--index", t["index"], "--models", t["models"]]),
     "train learning rate nan": (2, lambda t, d: [
         "train", LABELS, "--corpus", PAPERS, "--index", t["index"],

@@ -22,7 +22,14 @@ from reviewgen.evidence import (
     novelty_timeline,
     recommend_related,
 )
-from reviewgen.kg import RELATED_SCOPE, TARGET_SCOPE, build_kg, edge_key, elements
+from reviewgen.kg import (
+    RELATED_SCOPE,
+    TARGET_SCOPE,
+    ElementKey,
+    build_kg,
+    edge_key,
+    elements,
+)
 
 from synth import (
     build_random_corpus,
@@ -133,8 +140,9 @@ class TestExtractNovelty:
             k for k in elements(gp) if not k.is_edge and k.head == ("gamma",)
         ]
         assert len([k for k in default if k.is_edge]) == 1
-        everything = extract_novelty(gp, index, include_generic=True)
-        assert everything == elements(gp)
+        assert [k for k in elements(gp) if k not in default] == [
+            ElementKey.node(("this", "method"))
+        ]
 
     def test_golden_p12(self, p12_bundle):
         got = "".join(f"{key}\n" for key in p12_bundle.novelty_new)

@@ -230,6 +230,20 @@ class TestBuildKg:
         assert len(fused.mentions) == 3
 
 
+    def test_unmerged_groups_ranked_once(self, monkeypatch):
+        calls = []
+        real = kg_module._representative
+
+        def spy(cluster, norms):
+            calls.append(len(cluster))
+            return real(cluster, norms)
+
+        monkeypatch.setattr(kg_module, "_representative", spy)
+        kg = build_kg(parse_paper(minimal_two_mention_doc()), TARGET_SCOPE)
+        assert len(kg.entities) == 2
+        assert calls == [1, 1]
+
+
 def minimal_two_mention_doc() -> dict:
     return paper_doc(
         sections={"abstract": [["cnn", "and", "parsing", "."]]},
@@ -282,6 +296,17 @@ class TestMergeClosureOracle:
             assert partition(kg) == oracle_partition(record, scope, rng)
         assert calls
         assert all(set(a) & set(b) for a, b in calls)
+
+    def test_representative_ranks_all_merged_mentions(self):
+        rng = random.Random(20261018)
+        for case in range(100):
+            record = build_random_paper(
+                rng, paper_id=f"R{case}", max_mentions=40, max_clusters=15
+            )
+            for entity in build_kg(record, TARGET_SCOPE).entities:
+                best = representative_mention(list(entity.mentions))
+                assert entity.rep_surface == best.surface, f"case {case}"
+                assert entity.representative == normalize(best.surface)
 
     def test_fixed_point_no_coreferential_pair_remains(self):
         rng = random.Random(5)

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from reviewgen.corpus import Category
+from reviewgen.corpus import SCOREABLE_CATEGORIES, Category
 from reviewgen.errors import (
     EmptyDatasetError,
     FormatVersionError,
@@ -18,8 +18,10 @@ from reviewgen.evidence import build_bundle
 from reviewgen.scoring.model import TrainConfig, forward, init_params
 from reviewgen.scoring.train import (
     NUM_SCORE_CLASSES,
+    CategoryScore,
     EvalMetrics,
     ScoreModel,
+    ScoreReport,
     TrainingExample,
     evaluate,
     load_model,
@@ -179,36 +181,41 @@ class TestPredictScores:
             predict_scores(papers["P12"], bundle, models)
 
 
+def report(paper_id, score):
+    """A hand-built report that gives ``score`` in every category."""
+    probs = tuple(float(c == score - 1) for c in range(NUM_SCORE_CLASSES))
+    return ScoreReport(paper_id, {
+        category: CategoryScore(score, 1.0, probs)
+        for category in SCOREABLE_CATEGORIES
+    })
+
+
+def every_category(score):
+    return {category: score for category in SCOREABLE_CATEGORIES}
+
+
 class TestEvaluate:
     def test_exact_match(self):
-        model = zero_model()  # uniform probs, always predicts score 1
-        data = {Category.NOVELTY: [example([0], 0), example([1], 0)]}
-        metrics = evaluate({Category.NOVELTY: model}, data)
-        assert metrics[Category.NOVELTY] == EvalMetrics(accuracy=1.0, mse=0.0)
+        # B has no novelty target, so novelty is scored over A alone
+        targets = {"A": every_category(3), "B": every_category(5)}
+        del targets["B"][Category.NOVELTY]
+        metrics = evaluate([report("A", 3), report("B", 5)], targets)
+        assert list(metrics) == list(SCOREABLE_CATEGORIES)
+        assert set(metrics.values()) == {EvalMetrics(accuracy=1.0, mse=0.0)}
 
     def test_off_by_one(self):
-        model = zero_model()
-        data = {Category.NOVELTY: [example([0], 1)]}
-        metrics = evaluate({Category.NOVELTY: model}, data)
-        assert metrics[Category.NOVELTY] == EvalMetrics(accuracy=0.0, mse=1.0)
+        metrics = evaluate([report("A", 2)], {"A": every_category(3)})
+        assert set(metrics.values()) == {EvalMetrics(accuracy=0.0, mse=1.0)}
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDatasetError):
-            evaluate({}, {})
-        with pytest.raises(EmptyDatasetError):
-            evaluate({}, {Category.NOVELTY: []})
+            evaluate([], {})
 
-    def test_empty_category_skipped(self):
-        model = zero_model()
-        data = {Category.NOVELTY: [example([0], 0)],
-                Category.CLARITY: []}
-        metrics = evaluate({Category.NOVELTY: model}, data)
-        assert Category.CLARITY not in metrics
-
-    def test_missing_model_rejected(self):
-        data = {Category.NOVELTY: [example([0], 0)]}
-        with pytest.raises(MissingModelError):
-            evaluate({}, data)
+    def test_category_without_target_named(self):
+        targets = {"A": every_category(3)}
+        del targets["A"][Category.CLARITY]
+        with pytest.raises(EmptyDatasetError, match="category clarity"):
+            evaluate([report("A", 3)], targets)
 
 
 class TestPersistence:
