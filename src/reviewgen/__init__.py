@@ -28,6 +28,7 @@ from reviewgen.corpus import (
     SCOREABLE_CATEGORIES,
     SectionKind,
     Sentence,
+    corpus_paths,
     load_corpus,
     load_paper,
     load_review_labels,

@@ -7,6 +7,9 @@ standard output; diagnostics go to standard error. Every command produces
 byte-identical output given identical inputs; train and grad-check take
 the --seed that fixes their randomness. Commands run with Python's cyclic
 garbage collector paused, because their data holds no reference cycles.
+build-background and novelty-timeline graph a large corpus in forked
+worker processes, one per CPU in the process's affinity mask; the workers
+inherit the paused collector.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from reviewgen.corpus import (
     PaperRecord,
     ReviewLabels,
     SCOREABLE_CATEGORIES,
+    corpus_paths,
     load_corpus,
     load_paper,
     load_review_labels,
@@ -99,16 +103,15 @@ def _load_models(model_dir: str) -> dict[Category, ScoreModel]:
     }
 
 
-def _paper_index(
+def _effective_cutoff(
     index: BackgroundIndex, paper: PaperRecord, cutoff: int | None
-) -> BackgroundIndex:
-    """Restrict the index so only work before the paper (or --cutoff) counts."""
-    effective = min(index.cutoff_year, cutoff if cutoff is not None else paper.year)
-    return restrict(index, effective)
+) -> int:
+    """The cutoff before which work counts for the paper: its year or --cutoff."""
+    return min(index.cutoff_year, cutoff if cutoff is not None else paper.year)
 
 
 def cmd_build_background(args: argparse.Namespace) -> int:
-    index = build_index(load_corpus(args.corpus), args.cutoff)
+    index = build_index(corpus_paths(args.corpus), args.cutoff)
     save_index(index, args.index)
     print(f"papers {index.n_papers} elements {len(index.postings)}")
     return 0
@@ -116,7 +119,8 @@ def cmd_build_background(args: argparse.Namespace) -> int:
 
 def cmd_review(args: argparse.Namespace) -> int:
     paper = load_paper(args.paper)
-    index = _paper_index(_load_artifact(load_index, args.index), paper, args.cutoff)
+    index = _load_artifact(load_index, args.index)
+    index = restrict(index, _effective_cutoff(index, paper, args.cutoff))
     models = _load_models(args.models)
     if args.templates is None:
         templates = default_templates()
@@ -142,12 +146,14 @@ def _prepare_labeled(
             f"labels name papers not in the corpus: {', '.join(unknown)}"
         )
     papers = [p for p in corpus if p.paper_id in by_id]
+    restricted: dict[int, BackgroundIndex] = {}  # one index per effective cutoff
     bundles = {}
     targets = {}
     for paper in papers:
-        bundles[paper.paper_id] = build_bundle(
-            paper, _paper_index(index, paper, cutoff)
-        )
+        effective = _effective_cutoff(index, paper, cutoff)
+        if effective not in restricted:
+            restricted[effective] = restrict(index, effective)
+        bundles[paper.paper_id] = build_bundle(paper, restricted[effective])
         targets[paper.paper_id] = target_scores(by_id[paper.paper_id])
     return papers, bundles, targets
 
@@ -223,7 +229,7 @@ def _parse_years(text: str) -> list[int]:
 def cmd_novelty_timeline(args: argparse.Namespace) -> int:
     years = _parse_years(args.years)
     papers = [load_paper(p) for p in args.papers]
-    timeline = novelty_timeline(papers, load_corpus(args.corpus), years)
+    timeline = novelty_timeline(papers, corpus_paths(args.corpus), years)
     sys.stdout.write(format_timeline(timeline))
     return 0
 

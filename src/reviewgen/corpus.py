@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from collections.abc import Set
+from collections.abc import Iterable, Set
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -195,12 +195,17 @@ def _load_json(path: str | Path):
 def _write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to a temp file beside ``path``, then rename it over ``path``.
 
-    An ``OSError`` names ``path``, never the temp file, which is removed.
+    The file gets the mode a plain ``open`` would give it (0o666 less the
+    umask), not the 0o600 of ``mkstemp``, which the rename would keep. An
+    ``OSError`` names ``path``, never the temp file, which is removed.
     """
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                umask = os.umask(0)
+                os.umask(umask)
+                os.fchmod(handle.fileno(), 0o666 & ~umask)
                 handle.write(text)
             os.replace(tmp, path)
         except BaseException:
@@ -460,17 +465,27 @@ def serialize_paper(record: PaperRecord) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def load_corpus(directory: str | Path) -> list[PaperRecord]:
-    """Load every ``*.json`` paper file in a directory, sorted by filename."""
+def corpus_paths(directory: str | Path) -> list[Path]:
+    """The ``*.json`` paper files of a corpus directory, sorted by filename."""
     directory = Path(directory)
     if not directory.is_dir():
         raise ParseError(f"{directory}: not a directory")
-    papers = [load_paper(p) for p in sorted(directory.glob("*.json"))]
+    return sorted(directory.glob("*.json"))
+
+
+def _check_unique_ids(paper_ids: Iterable[str]) -> None:
+    """Raise on the first paper id that repeats an earlier one."""
     seen: set[str] = set()
-    for paper in papers:
-        if paper.paper_id in seen:
-            raise ValidationError(f"duplicate paper_id {paper.paper_id!r} in corpus")
-        seen.add(paper.paper_id)
+    for paper_id in paper_ids:
+        if paper_id in seen:
+            raise ValidationError(f"duplicate paper_id {paper_id!r} in corpus")
+        seen.add(paper_id)
+
+
+def load_corpus(directory: str | Path) -> list[PaperRecord]:
+    """Load every ``*.json`` paper file in a directory, sorted by filename."""
+    papers = [load_paper(p) for p in corpus_paths(directory)]
+    _check_unique_ids(p.paper_id for p in papers)
     return papers
 
 

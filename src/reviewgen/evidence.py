@@ -11,7 +11,9 @@ feature both read that one score map.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -201,10 +203,12 @@ def build_bundle(paper: PaperRecord, index: BackgroundIndex) -> EvidenceBundle:
 
 def novelty_timeline(
     papers: list[PaperRecord],
-    corpus: list[PaperRecord],
+    corpus: Sequence[PaperRecord | Path],
     years: list[int],
 ) -> NoveltyTimeline:
     """Mean new-element count of ``papers`` per background cutoff year.
+
+    ``corpus`` is what ``build_index`` takes: papers, or paper files.
 
     One index at the last cutoff serves every year: an element is new at
     cutoff Y when none of its matched papers is older than Y, which is

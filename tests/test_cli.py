@@ -5,15 +5,18 @@ from __future__ import annotations
 import base64
 import gc
 import json
+import os
 import shutil
+import stat
 import struct
 
 import pytest
 
 from conftest import TOY_DIR, corrupted_backward, golden, run_cli
 from reviewgen import cli
+from reviewgen.background import load_index, save_index
 from reviewgen.cli import main
-from reviewgen.scoring import grad
+from reviewgen.scoring import grad, load_model, save_model
 
 PAPERS = TOY_DIR / "papers"
 LABELS = TOY_DIR / "labels.json"
@@ -136,6 +139,25 @@ class TestTrain:
             "--index", trained["index"], "--models", tmp_path / "m",
         )
         assert result.returncode == 2
+
+    def test_index_restricted_once_per_cutoff(
+        self, trained, tmp_path, monkeypatch, papers, labels
+    ):
+        cutoffs = []
+        real = cli.restrict
+
+        def restrict(index, cutoff_year):
+            cutoffs.append(cutoff_year)
+            return real(index, cutoff_year)
+
+        monkeypatch.setattr(cli, "restrict", restrict)
+        argv = ["train", LABELS, "--corpus", PAPERS, "--index", trained["index"],
+                "--models", tmp_path / "m", "--epochs", "1"]
+        assert main([str(a) for a in argv]) == 0
+        index_cutoff = trained["recipe"]["cutoff"]
+        expected = {min(index_cutoff, papers[p].year) for p in labels}
+        assert len(expected) > 1
+        assert sorted(cutoffs) == sorted(expected)
 
     def test_missing_index_is_artifact_error(self, tmp_path):
         result = run_cli(
@@ -462,6 +484,21 @@ def test_failed_index_write_names_given_path(tmp_path, capsys, target):
     err = capsys.readouterr().err
     assert f"'{index}'" in err and ".tmp" not in err
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_artifacts_get_the_umask_mode(trained, tmp_path):
+    index = load_index(trained["index"])
+    model = load_model(trained["models"] / "novelty.json")
+    old = os.umask(0o022)
+    try:
+        save_index(index, tmp_path / "bg.json")
+        save_model(model, tmp_path / "novelty.json")
+    finally:
+        os.umask(old)
+    for name, original in (("bg.json", trained["index"]),
+                           ("novelty.json", trained["models"] / "novelty.json")):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644
+        assert (tmp_path / name).read_bytes() == original.read_bytes()
 
 
 def test_unknown_label_ids_named_in_sorted_order(trained, tmp_path, capsys):

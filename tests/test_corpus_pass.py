@@ -1,0 +1,151 @@
+"""The corpus pass on a corpus large enough to be spread over forked
+workers: the same index bytes, timelines and errors as in process."""
+
+from __future__ import annotations
+
+import os
+import random
+
+import pytest
+
+from conftest import run_cli
+from reviewgen import background
+from reviewgen.background import build_index, save_index
+from reviewgen.cli import main
+from reviewgen.corpus import corpus_paths, load_corpus, load_paper, serialize_paper
+from reviewgen.errors import ReviewgenError
+from reviewgen.evidence import format_timeline, novelty_timeline
+
+from synth import build_random_corpus, build_random_paper
+
+pytestmark = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity") else True,
+    reason="the corpus is graphed in worker processes only with two usable CPUs",
+)
+
+N_PAPERS = background.PARALLEL_MIN_PAPERS + 30
+CUTOFF = 2016
+YEARS = "2011..2017"
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("corpus")
+    rng = random.Random(12)
+    for paper in build_random_corpus(rng, N_PAPERS):
+        (directory / f"{paper.paper_id}.json").write_text(
+            serialize_paper(paper), encoding="utf-8"
+        )
+    tracked = tmp_path_factory.mktemp("tracked") / "T.json"
+    paper = build_random_paper(rng, paper_id="T", year=2018, max_mentions=12)
+    tracked.write_text(serialize_paper(paper), encoding="utf-8")
+    return directory, tracked
+
+
+@pytest.fixture
+def in_process(monkeypatch):
+    """Graph every corpus in process for the rest of the test."""
+    monkeypatch.setattr(background, "PARALLEL_MIN_PAPERS", 10**9)
+
+
+def _copy(corpus_dir, tmp_path):
+    copy = tmp_path / "corpus"
+    copy.mkdir()
+    for path in corpus_paths(corpus_dir):
+        (copy / path.name).write_bytes(path.read_bytes())
+    return copy
+
+
+class TestSameResult:
+    def test_workers_index_papers_and_paths_alike(self, corpus_dir, monkeypatch):
+        directory, _ = corpus_dir
+        records = load_corpus(directory)
+        from_records = build_index(records, CUTOFF)
+        from_paths = build_index(corpus_paths(directory), CUTOFF)
+        monkeypatch.setattr(background, "PARALLEL_MIN_PAPERS", 10**9)
+        expected = build_index(records, CUTOFF)
+        assert from_records == expected
+        assert from_paths == expected
+        assert list(from_paths.postings) == list(expected.postings)
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
+    def test_cli_bytes_match_in_process(
+        self, corpus_dir, tmp_path, in_process, hash_seed
+    ):
+        directory, tracked = corpus_dir
+        env = {"PYTHONHASHSEED": hash_seed}
+        expected = tmp_path / "expected.json"
+        save_index(build_index(load_corpus(directory), CUTOFF), expected)
+        index = tmp_path / "bg.json"
+        result = run_cli("build-background", "--corpus", directory,
+                         "--cutoff", CUTOFF, "--index", index, env=env)
+        assert result.returncode == 0, result.stderr
+        assert index.read_bytes() == expected.read_bytes()
+
+        years = list(range(2011, 2018))
+        timeline = novelty_timeline([load_paper(tracked)], load_corpus(directory), years)
+        result = run_cli("novelty-timeline", tracked, "--corpus", directory,
+                         "--years", YEARS, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == format_timeline(timeline)
+
+
+def _argv(command, corpus, tracked, index):
+    if command == "build-background":
+        return ["build-background", "--corpus", str(corpus),
+                "--cutoff", str(CUTOFF), "--index", str(index)]
+    return ["novelty-timeline", str(tracked), "--corpus", str(corpus),
+            "--years", YEARS]
+
+
+def _load_corpus_error(corpus) -> str:
+    with pytest.raises(ReviewgenError) as exc:
+        load_corpus(corpus)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("command", ["build-background", "novelty-timeline"])
+class TestSameErrors:
+    """A bad corpus exits 2 with the message ``load_corpus`` raises, and
+    no index file is left behind."""
+
+    def _check(self, command, corpus, tracked, tmp_path, capsys, message):
+        index = tmp_path / "bg.json"
+        assert main(_argv(command, corpus, tracked, index)) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
+        assert not index.exists()
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_first_malformed_file_named(
+        self, command, corpus_dir, tmp_path, capsys
+    ):
+        directory, tracked = corpus_dir
+        corpus = _copy(directory, tmp_path)
+        paths = corpus_paths(corpus)
+        paths[3].write_text("{not json", encoding="utf-8")
+        paths[-2].write_text(paths[-2].read_text().replace('"year": ', '"year": -'))
+        message = _load_corpus_error(corpus)
+        assert message.startswith(f"{paths[3]}: invalid JSON")
+        self._check(command, corpus, tracked, tmp_path, capsys, message)
+
+    def test_duplicate_id_named(self, command, corpus_dir, tmp_path, capsys):
+        directory, tracked = corpus_dir
+        corpus = _copy(directory, tmp_path)
+        paths = corpus_paths(corpus)
+        (corpus / "ZZ.json").write_bytes(paths[-5].read_bytes())
+        message = _load_corpus_error(corpus)
+        assert message == f"duplicate paper_id {paths[-5].stem!r} in corpus"
+        self._check(command, corpus, tracked, tmp_path, capsys, message)
+
+    def test_parse_error_wins_over_earlier_duplicate(
+        self, command, corpus_dir, tmp_path, capsys
+    ):
+        directory, tracked = corpus_dir
+        corpus = _copy(directory, tmp_path)
+        paths = corpus_paths(corpus)
+        (corpus / "A.json").write_bytes(paths[0].read_bytes())
+        paths[-1].write_text("[]", encoding="utf-8")
+        message = _load_corpus_error(corpus)
+        assert message.startswith(f"{paths[-1]}: expected an object")
+        self._check(command, corpus, tracked, tmp_path, capsys, message)
