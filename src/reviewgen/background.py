@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import NamedTuple
@@ -36,7 +34,6 @@ from reviewgen.errors import (
     CutoffMismatchError,
     FormatVersionError,
     ParseError,
-    ReviewgenError,
 )
 from reviewgen.kg import (
     TARGET_SCOPE,
@@ -47,6 +44,7 @@ from reviewgen.kg import (
     coreferential,
     elements,
 )
+from reviewgen.parallel import fork_map
 
 _FORMAT_NAME = "reviewgen-background-index"
 _FORMAT_VERSION = 1
@@ -122,7 +120,7 @@ def _keys_match(query: ElementKey, candidate: ElementKey) -> bool:
     )
 
 
-# Below this many papers a corpus is graphed in process: a worker pool
+# Below this many papers a corpus is graphed in process: forking workers
 # costs about 12 ms to import, start and feed, more than it saves there.
 # On a 2-CPU AMD EPYC box, with perfbench/corpusgen.py papers, two workers
 # beat one core in 5 of 11 paired runs at 200 papers and 7 of 11 at 300.
@@ -140,55 +138,6 @@ def _corpus_entry(item: PaperRecord | Path, cutoff_year: int) -> CorpusEntry:
     return paper.paper_id, paper.year, elements(build_kg(paper, TARGET_SCOPE))
 
 
-# what a pool worker graphs; set only in the worker, by _worker_init
-_worker_corpus: tuple[Sequence[PaperRecord | Path], int] = ((), 0)
-
-
-def _worker_init(corpus: Sequence[PaperRecord | Path], cutoff_year: int) -> None:
-    global _worker_corpus
-    _worker_corpus = (corpus, cutoff_year)
-
-
-def _worker_entry(i: int) -> CorpusEntry | ReviewgenError:
-    corpus, cutoff_year = _worker_corpus
-    try:
-        return _corpus_entry(corpus[i], cutoff_year)
-    except ReviewgenError as exc:
-        return exc
-
-
-def _corpus_entries(
-    corpus: Sequence[PaperRecord | Path], cutoff_year: int
-) -> list[CorpusEntry]:
-    """``_corpus_entry`` of every corpus item, in corpus order.
-
-    A large corpus is spread over workers, one per usable CPU. They are
-    forked, not spawned, so each inherits the corpus and the loaded
-    modules without pickling or importing them again; only the entries
-    come back. A worker returns a load error as a value, so the first bad
-    item in corpus order is the one raised, as in process.
-    """
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if len(corpus) < PARALLEL_MIN_PAPERS or workers < 2:
-        return [_corpus_entry(item, cutoff_year) for item in corpus]
-    import multiprocessing  # only a large corpus pays for the import
-
-    # a worker that exits flushes its copy of the stdio buffers, so
-    # anything still buffered here would be written twice
-    sys.stdout.flush()
-    sys.stderr.flush()
-    chunksize = -(-len(corpus) // (workers * 8))
-    entries = []
-    with multiprocessing.get_context("fork").Pool(
-        workers, _worker_init, (corpus, cutoff_year)
-    ) as pool:
-        for entry in pool.imap(_worker_entry, range(len(corpus)), chunksize):
-            if isinstance(entry, ReviewgenError):
-                raise entry
-            entries.append(entry)
-    return entries
-
-
 def build_index(
     corpus: Sequence[PaperRecord | Path], cutoff_year: int
 ) -> BackgroundIndex:
@@ -198,9 +147,15 @@ def build_index(
     ``corpus_paths`` gives; a file that fails to load raises the error
     ``load_corpus`` would. Per-paper graphs are built over the abstract
     and conclusion (``TARGET_SCOPE``); indexing whole bodies inflates
-    document frequencies.
+    document frequencies. From ``PARALLEL_MIN_PAPERS`` papers up, the
+    papers are loaded and graphed on every CPU by ``fork_map``, which
+    sends back only the element keys.
     """
-    entries = _corpus_entries(corpus, cutoff_year)
+    entry = partial(_corpus_entry, cutoff_year=cutoff_year)
+    if len(corpus) < PARALLEL_MIN_PAPERS:
+        entries = [entry(item) for item in corpus]
+    else:
+        entries = list(fork_map(entry, corpus))
     _check_unique_ids(paper_id for paper_id, _, _ in entries)
 
     year_counts: dict[int, int] = {}

@@ -7,9 +7,12 @@ standard output; diagnostics go to standard error. Every command produces
 byte-identical output given identical inputs; train and grad-check take
 the --seed that fixes their randomness. Commands run with Python's cyclic
 garbage collector paused, because their data holds no reference cycles.
-build-background and novelty-timeline graph a large corpus in forked
-worker processes, one per CPU in the process's affinity mask; the workers
-inherit the paused collector.
+build-background and novelty-timeline graph a large corpus, and train
+fits the seven category models, on every CPU in the process's affinity
+mask: this process takes a share, and forked workers, which inherit the
+paused collector, take the rest. Each train process writes the model files
+of its own categories. ``taskset -c 0`` keeps a command on one CPU; the
+output is the same.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from reviewgen.evidence import (
     format_timeline,
     novelty_timeline,
 )
+from reviewgen.parallel import fork_map
 from reviewgen.review import (
     assemble,
     default_templates,
@@ -167,6 +171,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     model_dir = Path(args.models)
     model_dir.mkdir(parents=True, exist_ok=True)
+    jobs = []
+    missing = None
     for category in SCOREABLE_CATEGORIES:
         # the vocab counts every labelled paper, scored in this category or not
         sequences = {
@@ -186,17 +192,34 @@ def cmd_train(args: argparse.Namespace) -> int:
             if category in targets[paper_id]
         ]
         if not dataset:
-            raise ValidationError(f"no labeled examples for category {category.value}")
+            missing = ValidationError(
+                f"no labeled examples for category {category.value}"
+            )
+            break
+        jobs.append((category, vocab, dataset))
+
+    def fit(job: tuple[Category, Vocab, list[TrainingExample]]) -> list[str]:
+        """Train and save one category's model; return its log lines."""
+        category, vocab, dataset = job
+        lines: list[str] = []
         params = train(
             dataset,
             len(vocab),
             config,
             num_classes=NUM_SCORE_CLASSES,
-            log=lambda line, c=category: print(f"[{c.value}] {line}"),
+            log=lambda line: lines.append(f"[{category.value}] {line}"),
         )
         model = ScoreModel(params=params, vocab=vocab, max_seq_len=config.max_seq_len)
         save_model(model, model_dir / f"{category.value}.json")
-        print(f"[{category.value}] saved ({len(dataset)} examples)")
+        lines.append(f"[{category.value}] saved ({len(dataset)} examples)")
+        return lines
+
+    # each process saves the models it trains and sends back only log
+    # lines; sending the parameters back would raise the peak memory
+    for lines in fork_map(fit, jobs):
+        print("\n".join(lines))
+    if missing is not None:
+        raise missing
     return 0
 
 

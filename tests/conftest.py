@@ -11,24 +11,57 @@ from pathlib import Path
 import pytest
 
 import reviewgen
-from reviewgen import build_bundle, build_index, load_corpus, load_review_labels
+from reviewgen import (
+    build_bundle,
+    build_index,
+    load_corpus,
+    load_review_labels,
+    parallel,
+)
 from reviewgen.scoring import grad
 
 TOY_DIR = Path(reviewgen.__file__).parent / "data" / "toy"
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
+# the CLI with the CPU count fork_map sees fixed by the first argument
+_CLI_ON_CPUS = (
+    "import sys; from reviewgen import parallel; "
+    "parallel.cpu_count = lambda: int(sys.argv[1]); "
+    "from reviewgen.cli import main; sys.exit(main(sys.argv[2:]))"
+)
+
+
 def run_cli(
-    *args: object, cwd: str | None = None, env: dict[str, str] | None = None
+    *args: object,
+    cwd: str | None = None,
+    env: dict[str, str] | None = None,
+    cpus: int | None = None,
 ) -> subprocess.CompletedProcess:
-    """Run the installed CLI in a fresh interpreter; ``env`` adds variables."""
+    """Run the installed CLI in a fresh interpreter; ``env`` adds variables,
+    and ``cpus`` sets the number of CPUs it spreads work over."""
+    if cpus is None:
+        command = [sys.executable, "-m", "reviewgen.cli"]
+    else:
+        command = [sys.executable, "-c", _CLI_ON_CPUS, str(cpus)]
     return subprocess.run(
-        [sys.executable, "-m", "reviewgen.cli", *map(str, args)],
+        [*command, *map(str, args)],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=None if env is None else {**os.environ, **env},
     )
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the number of CPUs in-process work is spread over: ``cpus(2)``.
+    Two processes work on one CPU too, only more slowly."""
+
+    def use(count: int) -> None:
+        monkeypatch.setattr(parallel, "cpu_count", lambda: count)
+
+    return use
 
 
 def golden(name: str) -> str:

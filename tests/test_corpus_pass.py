@@ -1,9 +1,9 @@
 """The corpus pass on a corpus large enough to be spread over forked
-workers: the same index bytes, timelines and errors as in process."""
+workers: the same index bytes, timelines and errors as in process. Every
+test here spreads the pass over two processes, on any number of CPUs."""
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -17,11 +17,6 @@ from reviewgen.errors import ReviewgenError
 from reviewgen.evidence import format_timeline, novelty_timeline
 
 from synth import build_random_corpus, build_random_paper
-
-pytestmark = pytest.mark.skipif(
-    len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity") else True,
-    reason="the corpus is graphed in worker processes only with two usable CPUs",
-)
 
 N_PAPERS = background.PARALLEL_MIN_PAPERS + 30
 CUTOFF = 2016
@@ -40,6 +35,11 @@ def corpus_dir(tmp_path_factory):
     paper = build_random_paper(rng, paper_id="T", year=2018, max_mentions=12)
     tracked.write_text(serialize_paper(paper), encoding="utf-8")
     return directory, tracked
+
+
+@pytest.fixture(autouse=True)
+def two_cpus(cpus):
+    cpus(2)
 
 
 @pytest.fixture
@@ -78,14 +78,14 @@ class TestSameResult:
         save_index(build_index(load_corpus(directory), CUTOFF), expected)
         index = tmp_path / "bg.json"
         result = run_cli("build-background", "--corpus", directory,
-                         "--cutoff", CUTOFF, "--index", index, env=env)
+                         "--cutoff", CUTOFF, "--index", index, env=env, cpus=2)
         assert result.returncode == 0, result.stderr
         assert index.read_bytes() == expected.read_bytes()
 
         years = list(range(2011, 2018))
         timeline = novelty_timeline([load_paper(tracked)], load_corpus(directory), years)
         result = run_cli("novelty-timeline", tracked, "--corpus", directory,
-                         "--years", YEARS, env=env)
+                         "--years", YEARS, env=env, cpus=2)
         assert result.returncode == 0, result.stderr
         assert result.stdout == format_timeline(timeline)
 
