@@ -9,6 +9,11 @@ edges). Candidates come from two sides of that containment: the keys
 whose head holds the query head's rarest token cover every superstring,
 and exact-head lookups of the query head's contiguous sub-spans cover
 every substring. The brute-force scan lives in the tests as the oracle.
+
+A saved index is read back one line per row. json's C scanner parses each
+line, and any line it does not parse to its end is parsed again by
+``json.loads``, so a row loads, or fails with the message, exactly as it
+would through ``json.loads`` alone.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from json.encoder import encode_basestring
+from json.scanner import make_scanner
 from pathlib import Path
 from typing import NamedTuple
 
@@ -48,6 +54,9 @@ from reviewgen.parallel import fork_map
 
 _FORMAT_NAME = "reviewgen-background-index"
 _FORMAT_VERSION = 1
+
+# json.loads's own value scanner, called on each index row at offset 0
+_scan_row = make_scanner(json.JSONDecoder())
 
 
 class PaperRef(NamedTuple):
@@ -245,38 +254,34 @@ def tfidf(index: BackgroundIndex, paper_kg: KnowledgeGraph) -> dict[ElementKey, 
     return scores
 
 
-def _tokens(
-    text: object, locus: str, interned: dict[str, NormalizedString]
-) -> NormalizedString:
+def _tokens(text: object, interned: dict[str, NormalizedString]) -> NormalizedString:
     if not isinstance(text, str):
-        raise ParseError(f"{locus}: element text {text!r} is not a string")
+        raise ParseError(f"element text {text!r} is not a string")
     parts = interned.get(text)
     if parts is None:
         parts = tuple(text.split(" "))
         if not all(parts):
-            raise ParseError(f"{locus}: empty token in element key")
+            raise ParseError("empty token in element key")
         interned[text] = parts
     return parts
 
 
-def _key_from_fields(
-    fields: list, locus: str, interned: dict[str, NormalizedString]
-) -> ElementKey:
+def _key_from_fields(fields: list, interned: dict[str, NormalizedString]) -> ElementKey:
     if not fields:
-        raise ParseError(f"{locus}: expected a non-empty array")
+        raise ParseError("expected a non-empty array")
     kind = fields[0]
     if kind == "node" and len(fields) == 2:
-        return ElementKey(_tokens(fields[1], locus, interned))
+        return ElementKey(_tokens(fields[1], interned))
     if kind == "edge" and len(fields) == 4:
         relation = fields[2]
         if not isinstance(relation, str) or relation not in _RELATION_BY_VALUE:
-            raise ParseError(f"{locus}: unknown relation {relation!r}")
+            raise ParseError(f"unknown relation {relation!r}")
         return ElementKey(
-            _tokens(fields[1], locus, interned),
+            _tokens(fields[1], interned),
             _RELATION_BY_VALUE[relation],
-            _tokens(fields[3], locus, interned),
+            _tokens(fields[3], interned),
         )
-    raise ParseError(f"{locus}: malformed element key {fields!r}")
+    raise ParseError(f"malformed element key {fields!r}")
 
 
 def save_index(index: BackgroundIndex, path: str | Path) -> None:
@@ -320,6 +325,16 @@ def load_index(path: str | Path) -> BackgroundIndex:
     Besides its syntax, a file must keep what ``build_index`` guarantees:
     one year per paper, every posting year in ``year_counts``, each row's
     refs sorted and unique, and no more distinct papers than ``n_papers``.
+    The header's ``cutoff_year``, ``n_papers``, ``num_keys`` and counts are
+    JSON integers, and each ``year_counts`` key is an integer written plainly.
+
+    Each key line is parsed by json's C scanner (``json.scanner.make_scanner``)
+    from its first character, and the value is taken only when it ends the
+    line. Any other line, one with a syntax error or with whitespace or other
+    text after the value, is parsed again by ``json.loads``: it loads as
+    ``json.loads`` accepts it, or fails with its message. A row of the
+    canonical edge shape whose texts are already known builds its key
+    directly; every other row goes through the full field checks.
     """
     path = Path(path)
     # rows end in "\n" alone: U+2028 and the other breaks that
@@ -340,11 +355,16 @@ def load_index(path: str | Path) -> BackgroundIndex:
             f"{path}: unsupported version {header.get('version')!r}"
         )
     try:
-        cutoff_year = int(header["cutoff_year"])
-        n_papers = int(header["n_papers"])
+        cutoff_year, n_papers = header["cutoff_year"], header["n_papers"]
         year_counts = {int(y): c for y, c in header["year_counts"].items()}
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed header fields: {exc}") from exc
+    for name, value in (("cutoff_year", cutoff_year), ("n_papers", n_papers)):
+        if type(value) is not int:
+            raise ParseError(f"{path}: {name} must be an integer, got {value!r}")
+    for key in header["year_counts"]:
+        if key != str(int(key)):
+            raise ParseError(f"{path}: year_counts key {key!r} is not a plain integer")
     for year, count in year_counts.items():
         if type(count) is not int or count < 1 or year >= cutoff_year:
             raise ParseError(f"{path}: bad year count {year}: {count!r}")
@@ -373,54 +393,83 @@ def _load_rows(
     year_counts: dict[int, int],
     n_papers: int,
 ) -> dict[ElementKey, tuple[PaperRef, ...]]:
-    """Parse and check the key lines; each JSON row must sit on its own line."""
+    """Parse and check the key lines; each JSON row must sit on its own line.
+
+    A row's checks raise their message bare; the locus ``path:line`` is
+    put in front only when one fails. Keys are made with ``tuple.__new__``,
+    which skips the Python-level ``__new__`` of the ``NamedTuple``.
+    """
     postings: dict[ElementKey, tuple[PaperRef, ...]] = {}
     interned: dict[str, NormalizedString] = {}  # element text -> tokens
     paper_refs: dict[str, PaperRef] = {}  # one ref, and so one year, per paper
-    for lineno, line in enumerate(body, start=2):
-        locus = f"{path}:{lineno}"
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{locus}: malformed row: {exc.msg}") from exc
-        if not isinstance(row, list):
-            raise ParseError(f"{locus}: row must be an array")
-        key = _key_from_fields(row[:-1], locus, interned)
-        refs = row[-1]
-        if not isinstance(refs, list) or not refs:
-            raise ParseError(f"{locus}: postings must be a non-empty array")
-        parsed = []
-        previous = None
-        for ref in refs:
-            if (
-                not isinstance(ref, list)
-                or len(ref) != 2
-                or not isinstance(ref[0], str)
-                or type(ref[1]) is not int
+    try:
+        for lineno, line in enumerate(body, start=2):
+            # the C scanner, taken only when the value ends the line; any
+            # other line goes to json.loads, which words every error
+            try:
+                row, end = _scan_row(line, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            if end != len(line):
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"malformed row: {exc.msg}") from exc
+            if not isinstance(row, list):
+                raise ParseError("row must be an array")
+            size = len(row)
+            if size == 3 and row[0] == "node":
+                # node rows come first, so their texts are new to ``interned``
+                key = tuple.__new__(ElementKey, (_tokens(row[1], interned), None, None))
+            elif (
+                size == 5
+                and row[0] == "edge"
+                and type(row[1]) is type(row[2]) is type(row[3]) is str
+                and (head := interned.get(row[1])) is not None
+                and (relation := _RELATION_BY_VALUE.get(row[2])) is not None
+                and (tail := interned.get(row[3])) is not None
             ):
-                raise ParseError(f"{locus}: malformed posting {ref!r}")
-            paper_id, year = ref
-            if year >= cutoff_year:
-                raise ParseError(
-                    f"{locus}: posting {ref!r} is not before cutoff {cutoff_year}"
-                )
-            if year not in year_counts:
-                raise ParseError(f"{locus}: posting {ref!r} has no year count")
-            if previous is not None and ref <= previous:
-                raise ParseError(f"{locus}: postings are unsorted or repeated")
-            previous = ref
-            paper_ref = paper_refs.get(paper_id)
-            if paper_ref is None:
-                paper_ref = paper_refs[paper_id] = PaperRef(paper_id, year)
-            elif paper_ref.year != year:
-                raise ParseError(
-                    f"{locus}: paper {paper_id!r} is dated {year} here"
-                    f" and {paper_ref.year} elsewhere"
-                )
-            parsed.append(paper_ref)
-        if key in postings:
-            raise ParseError(f"{locus}: duplicate element key")
-        postings[key] = tuple(parsed)
+                key = tuple.__new__(ElementKey, (head, relation, tail))
+            else:
+                key = _key_from_fields(row[:-1], interned)
+            refs = row[-1]
+            if not isinstance(refs, list) or not refs:
+                raise ParseError("postings must be a non-empty array")
+            parsed = []
+            previous = None
+            for ref in refs:
+                if (
+                    not isinstance(ref, list)
+                    or len(ref) != 2
+                    or not isinstance(ref[0], str)
+                    or type(ref[1]) is not int
+                ):
+                    raise ParseError(f"malformed posting {ref!r}")
+                paper_id, year = ref
+                # year_counts holds only years before the cutoff
+                if year not in year_counts:
+                    if year >= cutoff_year:
+                        raise ParseError(
+                            f"posting {ref!r} is not before cutoff {cutoff_year}"
+                        )
+                    raise ParseError(f"posting {ref!r} has no year count")
+                if previous is not None and ref <= previous:
+                    raise ParseError("postings are unsorted or repeated")
+                previous = ref
+                paper_ref = paper_refs.get(paper_id)
+                if paper_ref is None:
+                    paper_ref = paper_refs[paper_id] = PaperRef(paper_id, year)
+                elif paper_ref.year != year:
+                    raise ParseError(
+                        f"paper {paper_id!r} is dated {year} here"
+                        f" and {paper_ref.year} elsewhere"
+                    )
+                parsed.append(paper_ref)
+            parsed = tuple(parsed)
+            if postings.setdefault(key, parsed) is not parsed:
+                raise ParseError("duplicate element key")
+    except ParseError as exc:
+        raise ParseError(f"{path}:{lineno}: {exc}") from exc
     if len(paper_refs) > n_papers:
         raise ParseError(
             f"{path}: postings name {len(paper_refs)} papers, more than"

@@ -269,8 +269,8 @@ def load_model(path: str | Path) -> ScoreModel:
             f"unsupported model version {payload.get('version')!r}"
         )
     try:
-        vocab = Vocab.from_list(payload["vocab"], int(payload["min_count"]))
-        max_seq_len = int(payload["max_seq_len"])
+        min_count, max_seq_len = payload["min_count"], payload["max_seq_len"]
+        vocab = Vocab.from_list(payload["vocab"], min_count)
         raw_params = payload["params"]
         arrays = {
             f.name: _decode_array(raw_params[f.name], f.name)
@@ -278,6 +278,11 @@ def load_model(path: str | Path) -> ScoreModel:
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"model file {path} is malformed: {exc}") from exc
+    for name, value in (("min_count", min_count), ("max_seq_len", max_seq_len)):
+        if type(value) is not int:
+            raise ParseError(
+                f"model file {path}: {name} must be an integer, got {value!r}"
+            )
     if max_seq_len < 1:
         raise ParseError(f"model file {path}: max_seq_len {max_seq_len} is below 1")
     params = ModelParams(**arrays)

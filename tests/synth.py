@@ -11,11 +11,21 @@ from __future__ import annotations
 import json
 import math
 import random
+from pathlib import Path
 
-from reviewgen.background import PaperRef, build_index
-from reviewgen.corpus import PaperRecord, parse_paper
+import pytest
+
+from reviewgen.background import PaperRef, build_index, load_index
+from reviewgen.corpus import _RELATION_BY_VALUE, PaperRecord, parse_paper
+from reviewgen.errors import ParseError
 from reviewgen.evidence import extract_novelty
-from reviewgen.kg import TARGET_SCOPE, ElementKey, build_kg, elements
+from reviewgen.kg import (
+    TARGET_SCOPE,
+    ElementKey,
+    NormalizedString,
+    build_kg,
+    elements,
+)
 
 # Containment chains ("parser" in "neural parser" in "fast neural parser")
 # and case variants are common on purpose: they force cluster merging.
@@ -263,6 +273,126 @@ def oracle_index_row(key: ElementKey, refs: tuple[PaperRef, ...]) -> str:
         fields + [[[ref.paper_id, ref.year] for ref in refs]], ensure_ascii=False
     )
 
+
+def _oracle_tokens(
+    text: object, locus: str, interned: dict[str, NormalizedString]
+) -> NormalizedString:
+    if not isinstance(text, str):
+        raise ParseError(f"{locus}: element text {text!r} is not a string")
+    parts = interned.get(text)
+    if parts is None:
+        parts = tuple(text.split(" "))
+        if not all(parts):
+            raise ParseError(f"{locus}: empty token in element key")
+        interned[text] = parts
+    return parts
+
+
+def _oracle_key_from_fields(
+    fields: list, locus: str, interned: dict[str, NormalizedString]
+) -> ElementKey:
+    if not fields:
+        raise ParseError(f"{locus}: expected a non-empty array")
+    kind = fields[0]
+    if kind == "node" and len(fields) == 2:
+        return ElementKey(_oracle_tokens(fields[1], locus, interned))
+    if kind == "edge" and len(fields) == 4:
+        relation = fields[2]
+        if not isinstance(relation, str) or relation not in _RELATION_BY_VALUE:
+            raise ParseError(f"{locus}: unknown relation {relation!r}")
+        return ElementKey(
+            _oracle_tokens(fields[1], locus, interned),
+            _RELATION_BY_VALUE[relation],
+            _oracle_tokens(fields[3], locus, interned),
+        )
+    raise ParseError(f"{locus}: malformed element key {fields!r}")
+
+
+def oracle_load_rows(
+    body: list[str],
+    path: str,
+    cutoff_year: int,
+    year_counts: dict[int, int],
+    n_papers: int,
+) -> dict[ElementKey, tuple[PaperRef, ...]]:
+    """``load_index``'s row pass as it stood before rows were scanned with
+    json's C scanner: one ``json.loads`` per line, the locus formatted for
+    every row and every key built through the field checks."""
+    postings: dict[ElementKey, tuple[PaperRef, ...]] = {}
+    interned: dict[str, NormalizedString] = {}  # element text -> tokens
+    paper_refs: dict[str, PaperRef] = {}  # one ref, and so one year, per paper
+    for lineno, line in enumerate(body, start=2):
+        locus = f"{path}:{lineno}"
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{locus}: malformed row: {exc.msg}") from exc
+        if not isinstance(row, list):
+            raise ParseError(f"{locus}: row must be an array")
+        key = _oracle_key_from_fields(row[:-1], locus, interned)
+        refs = row[-1]
+        if not isinstance(refs, list) or not refs:
+            raise ParseError(f"{locus}: postings must be a non-empty array")
+        parsed = []
+        previous = None
+        for ref in refs:
+            if (
+                not isinstance(ref, list)
+                or len(ref) != 2
+                or not isinstance(ref[0], str)
+                or type(ref[1]) is not int
+            ):
+                raise ParseError(f"{locus}: malformed posting {ref!r}")
+            paper_id, year = ref
+            if year >= cutoff_year:
+                raise ParseError(
+                    f"{locus}: posting {ref!r} is not before cutoff {cutoff_year}"
+                )
+            if year not in year_counts:
+                raise ParseError(f"{locus}: posting {ref!r} has no year count")
+            if previous is not None and ref <= previous:
+                raise ParseError(f"{locus}: postings are unsorted or repeated")
+            previous = ref
+            paper_ref = paper_refs.get(paper_id)
+            if paper_ref is None:
+                paper_ref = paper_refs[paper_id] = PaperRef(paper_id, year)
+            elif paper_ref.year != year:
+                raise ParseError(
+                    f"{locus}: paper {paper_id!r} is dated {year} here"
+                    f" and {paper_ref.year} elsewhere"
+                )
+            parsed.append(paper_ref)
+        if key in postings:
+            raise ParseError(f"{locus}: duplicate element key")
+        postings[key] = tuple(parsed)
+    if len(paper_refs) > n_papers:
+        raise ParseError(
+            f"{path}: postings name {len(paper_refs)} papers, more than"
+            f" n_papers {n_papers}"
+        )
+    return postings
+
+
+
+def assert_loads_as_oracle(path) -> None:
+    """``load_index(path)`` gives the postings ``oracle_load_rows`` gives, in
+    the same key order, or both raise a ParseError with the same message.
+    The file's header and line count must be valid."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")[:-1]
+    header = json.loads(lines[0])
+    year_counts = {int(y): c for y, c in header["year_counts"].items()}
+    try:
+        want = oracle_load_rows(
+            lines[1:], str(path), header["cutoff_year"], year_counts, header["n_papers"]
+        )
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            load_index(path)
+        assert str(got.value) == str(exc)
+    else:
+        got = load_index(path).postings
+        assert got == want
+        assert list(got) == list(want)
 
 def oracle_novelty(
     paper: PaperRecord, background: list[PaperRecord]

@@ -4,7 +4,9 @@ A mutated index or model file must give exit code 0 (the file is still
 valid) or 3 (bad artifact); a mutated paper or template file must give 0
 or 2 (bad input). Any other code, an uncaught exception or a traceback
 breaks the CLI's exit-code contract. An index edited to break one of the
-invariants the builder guarantees must give 3.
+invariants the builder guarantees must give 3. An index with mutated rows
+must load, or fail with the same message, as it does through
+``oracle_load_rows``, the loader that parsed each row with ``json.loads``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import TOY_DIR
 from reviewgen.cli import main
+from synth import assert_loads_as_oracle
 
 # P05 (2014) is older than the index cutoff, so its review also restricts
 # the index.
@@ -102,6 +105,75 @@ def test_mutated_index_loads_or_exits_3(trained, workdir, data):
     index = workdir / "bg.json"
     index.write_bytes(b"\n".join(lines) + b"\n")
     assert review_exit_code(index, trained["models"]) in (0, 3)
+
+
+# Text to insert into a row: JSON's own punctuation, whitespace and escapes
+# often, any other character now and then, but never a line break.
+ROW_JUNK = st.text(
+    st.sampled_from(list('[]{}",:0-.e \t\\u')) | st.characters(
+        blacklist_characters="\n\r", blacklist_categories=("Cs",)
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_rows_load_as_the_oracle_does(trained, workdir, data):
+    """Both give equal postings in the same key order, or both raise a
+    ParseError with the same message."""
+    lines = trained["index"].read_text(encoding="utf-8").split("\n")[:-1]
+    i = data.draw(st.integers(1, len(lines) - 1), label="row")
+    op = data.draw(st.sampled_from(["json", "copy", "truncate", "insert", "pad"]))
+    if op == "json":
+        row = json.loads(lines[i])
+        mutate_json(data, row)
+        lines[i] = json.dumps(row, ensure_ascii=data.draw(st.booleans()))
+    elif op == "copy":
+        lines[i] = lines[data.draw(st.integers(1, len(lines) - 1), label="from")]
+    elif op == "truncate":
+        lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i])))]
+    elif op == "insert":  # at either end often: a row's ends decide the parse path
+        size = len(lines[i])
+        at = data.draw(st.sampled_from([0, size]) | st.integers(0, size))
+        lines[i] = lines[i][:at] + data.draw(ROW_JUNK) + lines[i][at:]
+    else:
+        pad = st.text(st.sampled_from(" \t"), max_size=2)
+        lines[i] = data.draw(pad) + lines[i] + data.draw(pad)
+    path = workdir / "rows.json"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert_loads_as_oracle(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("cutoff_year", 2017.9),
+        ("n_papers", "11"),
+        ("year_counts", {"20_12": 1, "2013": 2, "2014": 2, "2015": 2, "2016": 2,
+                         "2017": 2}),
+    ],
+)
+def test_index_header_field_not_an_integer_exits_3(trained, workdir, field, value):
+    lines = trained["index"].read_text(encoding="utf-8").split("\n")
+    header = json.loads(lines[0])
+    header[field] = value
+    lines[0] = json.dumps(header, sort_keys=True)
+    index = workdir / "header.json"
+    index.write_text("\n".join(lines), encoding="utf-8")
+    assert review_exit_code(index, trained["models"]) == 3
+
+
+@pytest.mark.parametrize("field, value", [("max_seq_len", "40"), ("min_count", True)])
+def test_model_field_not_an_integer_exits_3(trained, workdir, field, value):
+    models = workdir / f"models-{field}"
+    shutil.copytree(trained["models"], models)
+    path = models / "novelty.json"
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload[field] = value
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert review_exit_code(trained["index"], models) == 3
 
 
 @FUZZ

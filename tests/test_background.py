@@ -30,6 +30,7 @@ from reviewgen.errors import (
 from reviewgen.kg import TARGET_SCOPE, ElementKey, build_kg, elements
 
 from synth import (
+    assert_loads_as_oracle,
     build_random_corpus,
     build_random_paper,
     oracle_index_row,
@@ -442,6 +443,35 @@ class TestPersistence:
         with pytest.raises(ParseError, match="year count|n_papers|num_keys"):
             load_index(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cutoff_year", 2017.9),
+            ("cutoff_year", "2018"),
+            ("cutoff_year", True),
+            ("n_papers", 10.5),
+            ("n_papers", "11"),
+            ("year_counts", "20_12"),
+            ("year_counts", " 2012"),
+            ("year_counts", "02012"),
+            ("year_counts", "+2012"),
+        ],
+    )
+    def test_header_integers_must_be_exact(self, index2018, tmp_path, field, value):
+        path = tmp_path / "bg.json"
+        save_index(index2018, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        header = json.loads(lines[0])
+        if field == "year_counts":  # rename the 2012 key
+            counts = header[field]
+            header[field] = {value if y == "2012" else y: c for y, c in counts.items()}
+        else:
+            header[field] = value
+        lines[0] = json.dumps(header) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ParseError, match="must be an integer|not a plain integer"):
+            load_index(path)
+
     @staticmethod
     def rewrite_postings(index, path, edit) -> None:
         """Save ``index`` to ``path`` with ``edit(row_number, refs)`` applied
@@ -504,6 +534,119 @@ class TestPersistence:
         self.rewrite_postings(index2018, path, edit)
         with pytest.raises(ParseError, match="more than n_papers 11"):
             load_index(path)
+
+    @staticmethod
+    def count_json_loads(monkeypatch) -> list:
+        calls = []
+        loads = json.loads
+
+        def counting(text, *args, **kwargs):
+            calls.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        return calls
+
+    def test_canonical_rows_skip_json_loads(self, index2018, tmp_path, monkeypatch):
+        path = tmp_path / "bg.json"
+        save_index(index2018, path)
+        calls = self.count_json_loads(monkeypatch)
+        assert load_index(path) == index2018
+        assert len(calls) == 1  # the header
+
+    @pytest.mark.parametrize("layout", ["crlf", "padded"])
+    def test_crlf_and_padded_rows_load_equal(
+        self, index2018, tmp_path, monkeypatch, layout
+    ):
+        path = tmp_path / "bg.json"
+        save_index(index2018, path)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        if layout == "crlf":
+            path.write_bytes("\r\n".join([header, *rows, ""]).encode("utf-8"))
+        else:
+            padded = [" \t" * (i % 2) + row + " " * (i % 3) for i, row in enumerate(rows)]
+            path.write_text("\n".join([header, *padded, ""]), encoding="utf-8")
+        calls = self.count_json_loads(monkeypatch)
+        assert load_index(path) == index2018
+        if layout == "crlf":
+            # reading the file turns CRLF into LF, so every row scans clean
+            assert len(calls) == 1
+        else:
+            # only the rows that carry padding go back to json.loads
+            padded_rows = sum(1 for i in range(len(rows)) if i % 2 or i % 3)
+            assert len(calls) == 1 + padded_rows
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            "relation unknown",
+            "relation not a string",
+            "head not a string",
+            "head new",
+            "head with empty token",
+            "tail null",
+            "node with edge fields",
+            "edge without tail",
+            "empty row",
+            "repeated key",
+        ],
+    )
+    def test_edited_edge_row_loads_as_the_oracle_does(self, index2018, tmp_path, edit):
+        """Each way an edge row can miss the fast path for known keys."""
+        path = tmp_path / "bg.json"
+        save_index(index2018, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        i = next(i for i, line in enumerate(lines) if line.startswith('["edge"'))
+        row = json.loads(lines[i])
+        if edit == "relation unknown":
+            row[2] = "cites"
+        elif edit == "relation not a string":
+            row[2] = ["used_for"]
+        elif edit == "head not a string":
+            row[1] = {"text": row[1]}
+        elif edit == "head new":
+            row[1] = "never seen before"
+        elif edit == "head with empty token":
+            row[1] = row[1] + " "
+        elif edit == "tail null":
+            row[3] = None
+        elif edit == "node with edge fields":
+            row[0] = "node"
+        elif edit == "edge without tail":
+            del row[3]
+        elif edit == "empty row":
+            row = []
+        else:
+            row = json.loads(lines[i - 1])
+        lines[i] = json.dumps(row)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        assert_loads_as_oracle(path)
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            '["',  # the C scanner raises JSONDecodeError in a string
+            '["node", "accuracy"',
+            "",  # the C scanner raises StopIteration
+            "]",
+            '["node", "accuracy", [["P04", 2014]]]]',  # text after the row
+            '["node", "accuracy", [["P04", 2014]]] ["node"]',
+            '\ufeff["node", "accuracy", [["P04", 2014]]]',
+        ],
+    )
+    def test_rows_the_scanner_does_not_end_keep_json_messages(
+        self, index2018, tmp_path, cut
+    ):
+        path = tmp_path / "bg.json"
+        save_index(index2018, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[2] = cut
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(cut)
+        with pytest.raises(ParseError) as got:
+            load_index(path)
+        assert str(got.value) == f"{path}:3: malformed row: {want.value.msg}"
 
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "bg.json"

@@ -277,6 +277,20 @@ class TestPersistence:
         with pytest.raises(ParseError, match="max_seq_len"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_seq_len", 40.7), ("max_seq_len", "40"), ("min_count", 1.5),
+         ("min_count", True)],
+    )
+    def test_integer_fields_must_be_exact(self, tmp_path, field, value):
+        path = tmp_path / "m.json"
+        save_model(self.trained_model(), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload[field] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ParseError, match=f"{field} must be an integer"):
+            load_model(path)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_rejected(self, tmp_path, value):
         model = self.trained_model()
