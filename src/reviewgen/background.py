@@ -346,8 +346,9 @@ def load_index(path: str | Path) -> BackgroundIndex:
         raise FormatVersionError(f"{path}: empty index file")
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: malformed header: {exc.msg}") from exc
+    except ValueError as exc:  # JSONDecodeError, or an int past int()'s digit limit
+        msg = getattr(exc, "msg", exc)
+        raise ParseError(f"{path}: malformed header: {msg}") from exc
     if not isinstance(header, dict) or header.get("format") != _FORMAT_NAME:
         raise FormatVersionError(f"{path}: not a background index file")
     if header.get("version") != _FORMAT_VERSION:
@@ -408,13 +409,14 @@ def _load_rows(
             # other line goes to json.loads, which words every error
             try:
                 row, end = _scan_row(line, 0)
-            except (StopIteration, json.JSONDecodeError):
+            except (StopIteration, ValueError):
                 end = -1
             if end != len(line):
                 try:
                     row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"malformed row: {exc.msg}") from exc
+                except ValueError as exc:  # as for the header
+                    msg = getattr(exc, "msg", exc)
+                    raise ParseError(f"malformed row: {msg}") from exc
             if not isinstance(row, list):
                 raise ParseError("row must be an array")
             size = len(row)

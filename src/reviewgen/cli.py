@@ -181,7 +181,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             )
             for p in papers
         }
-        vocab = Vocab.build(sequences.values(), min_count=config.min_count)
+        vocab = Vocab.build(sequences.values())
         dataset = [
             TrainingExample(
                 token_ids=vocab.encode(tokens),

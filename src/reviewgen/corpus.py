@@ -190,6 +190,8 @@ def _load_json(path: str | Path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past int()'s digit limit
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _write_atomic(path: Path, text: str) -> None:

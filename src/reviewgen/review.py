@@ -16,7 +16,14 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from reviewgen.corpus import Category, RelationType, SCOREABLE_CATEGORIES, _load_json
+from reviewgen.corpus import (
+    Category,
+    RelationType,
+    SCOREABLE_CATEGORIES,
+    _CATEGORY_BY_VALUE,
+    _RELATION_BY_VALUE,
+    _load_json,
+)
 from reviewgen.errors import (
     UnsupportedRelationError,
     ValidationError,
@@ -102,6 +109,10 @@ class TemplateSet:
     variant: int = 0  # index into each template pool; 0 = first
 
 
+# the pools of a category's templates, the fields of CategoryTemplates
+_TEMPLATE_POOLS = ("positive", "negative", "positive_empty", "negative_empty")
+
+
 def _slot_names(template: str, locus: str) -> set[str]:
     """Identifiers used by a ``${SLOT}`` template; malformed markers fail."""
     names = set()
@@ -124,7 +135,7 @@ def _validate_templates(tset: TemplateSet) -> None:
                 f"category {category.value!r} needs at least one template "
                 "per polarity"
             )
-        for kind in ("positive", "negative", "positive_empty", "negative_empty"):
+        for kind in _TEMPLATE_POOLS:
             for tpl in getattr(block, kind):
                 bad = _slot_names(tpl, category.value) - TEMPLATE_SLOTS
                 if bad:
@@ -148,12 +159,11 @@ def _validate_templates(tset: TemplateSet) -> None:
 def _parse_template_block(raw: object, locus: str) -> CategoryTemplates:
     if not isinstance(raw, dict):
         raise ValidationError(f"{locus}: expected an object")
-    allowed = {"positive", "negative", "positive_empty", "negative_empty"}
-    unknown = set(raw) - allowed
+    unknown = set(raw).difference(_TEMPLATE_POOLS)
     if unknown:
         raise ValidationError(f"{locus}: unknown key {sorted(unknown)[0]!r}")
     lists = {}
-    for kind in allowed:
+    for kind in _TEMPLATE_POOLS:  # in order, so the first bad pool is seed-independent
         value = raw.get(kind, [])
         if not isinstance(value, list) or any(
             not isinstance(x, str) for x in value
@@ -175,20 +185,18 @@ def parse_templates(raw: object) -> TemplateSet:
         raise ValidationError(
             "template file needs 'categories' and 'relation_phrases' objects"
         )
-    by_value = {c.value: c for c in Category}
     categories = {}
     for name, block in raw_cats.items():
-        if name not in by_value:
+        if name not in _CATEGORY_BY_VALUE:
             raise ValidationError(f"unknown category {name!r} in templates")
-        categories[by_value[name]] = _parse_template_block(block, name)
-    rel_by_value = {r.value: r for r in RelationType}
+        categories[_CATEGORY_BY_VALUE[name]] = _parse_template_block(block, name)
     phrases = {}
     for name, phrase in raw_phrases.items():
-        if name not in rel_by_value:
+        if name not in _RELATION_BY_VALUE:
             raise ValidationError(f"unknown relation {name!r} in templates")
         if not isinstance(phrase, str):
             raise ValidationError(f"phrase for {name!r} must be a string")
-        phrases[rel_by_value[name]] = phrase
+        phrases[_RELATION_BY_VALUE[name]] = phrase
     variant = raw.get("variant", 0)
     if type(variant) is not int or variant < 0:
         raise ValidationError("variant must be a non-negative integer")

@@ -4,7 +4,7 @@ The backward pass runs forward_trace in reverse: softmax/cross-entropy
 head, the evidence tanh layer, attention pooling, then backpropagation
 through time over the GRU unroll and into the embedding rows. Only the
 recurrent products with U_h^T and [U_z; U_r]^T stay inside the time loop,
-which records every step's gate deltas in one T x 3d_h array. The nine
+which records every step's gate deltas in one T x 3d_h array. The stacked
 GRU weight and bias gradients and the input gradient dx = da [W_z; W_r; W_h]
 are then matrix products over all timesteps at once. The finite-difference
 harness perturbs every scalar parameter centrally and is the independent
@@ -25,7 +25,6 @@ from reviewgen.scoring.model import (
     forward_trace,
     init_params,
     loss,
-    stacked_gate_params,
 )
 
 Gradients = dict[str, np.ndarray]
@@ -78,7 +77,6 @@ def backward(
     # GRU backpropagation through time. The loop carries only the state
     # gradient dh_t and records each step's gate deltas; the weight, bias
     # and input gradients are matrix products over all steps after it.
-    w_in, _, u_zr = stacked_gate_params(params)
     h_prev = trace.h[:-1]
     z, r, h_tilde = trace.z, trace.r, trace.h_tilde
     # da_h = dh_t * dh_gain, da_z = dh_t * dz_gain, da_r = (U_h^T da_h) * dr_gain
@@ -94,15 +92,14 @@ def backward(
         d_rh = params.u_h.T @ da_h[s]
         da_zr[s, :d_h] = dh * dz_gain[s]
         da_zr[s, d_h:] = d_rh * dr_gain[s]
-        d_hidden[s] += dh * carry[s] + d_rh * r[s] + u_zr.T @ da_zr[s]
+        d_hidden[s] += dh * carry[s] + d_rh * r[s] + params.u_zr.T @ da_zr[s]
 
-    d_w = params.d_w
-    grads["w_z"], grads["w_r"], grads["w_h"] = (da.T @ trace.x).reshape(3, d_h, d_w)
-    grads["b_z"], grads["b_r"], grads["b_h"] = da.sum(axis=0).reshape(3, d_h)
-    grads["u_z"], grads["u_r"] = (da_zr.T @ h_prev).reshape(2, d_h, d_h)
+    grads["w_in"] = da.T @ trace.x
+    grads["b_in"] = da.sum(axis=0)
+    grads["u_zr"] = da_zr.T @ h_prev
     grads["u_h"] = da_h.T @ (r * h_prev)
     grads["embed"] = np.zeros_like(params.embed)
-    np.add.at(grads["embed"], np.asarray(trace.token_ids), da @ w_in)
+    np.add.at(grads["embed"], np.asarray(trace.token_ids), da @ params.w_in)
     return {name: grads[name] for name, _ in params.items()}  # canonical order
 
 

@@ -12,12 +12,13 @@ Gate equations (update z, reset r, candidate h~):
     h~_t = tanh(W_h x_t + U_h (r_t * h_{t-1}) + b_h)
     h_t = (1 - z_t) * h_{t-1} + z_t * h~_t
 
-The input terms W x_t + b of all three gates do not depend on the state, so
-forward_trace computes them for every timestep in one matrix product
-against the stacked [W_z; W_r; W_h] before the time loop. Each step then
-does only the recurrent work: one product with the stacked [U_z; U_r], one
-sigmoid over both gates, and U_h (r_t * h_{t-1}) (Appleyard et al.,
-arXiv:1604.01946).
+The parameters are stored stacked, as the network computes with them:
+w_in = [W_z; W_r; W_h], b_in = [b_z; b_r; b_h] and u_zr = [U_z; U_r], with
+U_h kept alone. The input terms W x_t + b of all three gates do not depend
+on the state, so forward_trace computes them for every timestep in one
+matrix product with w_in before the time loop. Each step then does only the
+recurrent work: one product with u_zr, one sigmoid over both gates, and
+U_h (r_t * h_{t-1}) (Appleyard et al., arXiv:1604.01946).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ class TrainConfig:
     epochs: int = 20
     seed: int = 0
     max_seq_len: int = 128
-    min_count: int = 1
 
     def __post_init__(self):
         for name in ("d_w", "d_h", "d_a", "d_e", "epochs", "max_seq_len"):
@@ -63,15 +63,10 @@ class ModelParams:
     """All trainable tensors. Field order is the canonical parameter order."""
 
     embed: np.ndarray  # |V| x d_w
-    w_z: np.ndarray  # d_h x d_w
-    w_r: np.ndarray
-    w_h: np.ndarray
-    u_z: np.ndarray  # d_h x d_h
-    u_r: np.ndarray
-    u_h: np.ndarray
-    b_z: np.ndarray  # d_h
-    b_r: np.ndarray
-    b_h: np.ndarray
+    w_in: np.ndarray  # 3d_h x d_w, [W_z; W_r; W_h]
+    u_zr: np.ndarray  # 2d_h x d_h, [U_z; U_r]
+    u_h: np.ndarray  # d_h x d_h
+    b_in: np.ndarray  # 3d_h, [b_z; b_r; b_h]
     w_att: np.ndarray  # d_a x d_h
     v_att: np.ndarray  # d_a
     w_ev: np.ndarray  # d_e x FEATURE_DIM
@@ -93,7 +88,7 @@ class ModelParams:
 
     @property
     def d_h(self) -> int:
-        return self.w_z.shape[0]
+        return self.u_h.shape[0]
 
     @property
     def d_a(self) -> int:
@@ -111,7 +106,7 @@ class ModelParams:
         return {name: np.zeros_like(arr) for name, arr in self.items()}
 
     def check_shapes(self) -> None:
-        for name in ("embed", "w_z", "w_att", "w_ev", "w_out"):  # dims come from these
+        for name in ("embed", "u_h", "w_att", "w_ev", "w_out"):  # dims come from these
             if getattr(self, name).ndim != 2:
                 raise ShapeMismatchError(
                     f"{name}: expected a matrix, got shape {getattr(self, name).shape}"
@@ -120,9 +115,8 @@ class ModelParams:
         d_a, d_e, c = self.d_a, self.d_e, self.num_classes
         expected = {
             "embed": (v, d_w),
-            "w_z": (d_h, d_w), "w_r": (d_h, d_w), "w_h": (d_h, d_w),
-            "u_z": (d_h, d_h), "u_r": (d_h, d_h), "u_h": (d_h, d_h),
-            "b_z": (d_h,), "b_r": (d_h,), "b_h": (d_h,),
+            "w_in": (3 * d_h, d_w), "u_zr": (2 * d_h, d_h), "u_h": (d_h, d_h),
+            "b_in": (3 * d_h,),
             "w_att": (d_a, d_h), "v_att": (d_a,),
             "w_ev": (d_e, FEATURE_DIM), "b_ev": (d_e,),
             "w_out": (c, d_h + d_e), "b_out": (c,),
@@ -146,17 +140,13 @@ def init_params(
     """Fan-balanced uniform init for matrices, zeros for biases."""
     rng = np.random.default_rng(config.seed if seed is None else seed)
     d_w, d_h, d_a, d_e = config.d_w, config.d_h, config.d_a, config.d_e
+    # each gate's block is drawn on its own, in gate order, then stacked
     return ModelParams(
         embed=_glorot(rng, (vocab_size, d_w)),
-        w_z=_glorot(rng, (d_h, d_w)),
-        w_r=_glorot(rng, (d_h, d_w)),
-        w_h=_glorot(rng, (d_h, d_w)),
-        u_z=_glorot(rng, (d_h, d_h)),
-        u_r=_glorot(rng, (d_h, d_h)),
+        w_in=np.concatenate([_glorot(rng, (d_h, d_w)) for _ in range(3)]),
+        u_zr=np.concatenate([_glorot(rng, (d_h, d_h)) for _ in range(2)]),
         u_h=_glorot(rng, (d_h, d_h)),
-        b_z=np.zeros(d_h),
-        b_r=np.zeros(d_h),
-        b_h=np.zeros(d_h),
+        b_in=np.zeros(3 * d_h),
         w_att=_glorot(rng, (d_a, d_h)),
         v_att=rng.uniform(-np.sqrt(6.0 / (d_a + 1)), np.sqrt(6.0 / (d_a + 1)), d_a),
         w_ev=_glorot(rng, (d_e, FEATURE_DIM)),
@@ -176,17 +166,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - np.max(logits)
     ex = np.exp(shifted)
     return ex / ex.sum()
-
-
-def stacked_gate_params(
-    params: ModelParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """[W_z; W_r; W_h] (3d_h x d_w), [b_z; b_r; b_h] and [U_z; U_r] (2d_h x d_h)."""
-    return (
-        np.concatenate([params.w_z, params.w_r, params.w_h]),
-        np.concatenate([params.b_z, params.b_r, params.b_h]),
-        np.concatenate([params.u_z, params.u_r]),
-    )
 
 
 @dataclass
@@ -223,15 +202,15 @@ def forward_trace(
     t_len = len(token_ids)
     d_h = params.d_h
     x = params.embed[np.asarray(token_ids)]
-    w_in, b_in, u_zr = stacked_gate_params(params)
-    x_proj = x @ w_in.T + b_in  # T x 3d_h: W x_t + b for [z | r | h~]
+    # T x 3d_h: W x_t + b for [z | r | h~]
+    x_proj = x @ params.w_in.T + params.b_in
     x_zr, x_h = x_proj[:, : 2 * d_h], x_proj[:, 2 * d_h :]
     h = np.zeros((t_len + 1, d_h))
     zr = np.zeros((t_len, 2 * d_h))
     z, r = zr[:, :d_h], zr[:, d_h:]
     h_tilde = np.zeros((t_len, d_h))
     for t in range(t_len):
-        zr[t] = sigmoid(x_zr[t] + u_zr @ h[t])
+        zr[t] = sigmoid(x_zr[t] + params.u_zr @ h[t])
         h_tilde[t] = np.tanh(x_h[t] + params.u_h @ (r[t] * h[t]))
         h[t + 1] = (1.0 - z[t]) * h[t] + z[t] * h_tilde[t]
 

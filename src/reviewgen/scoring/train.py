@@ -52,7 +52,7 @@ ADAM_EPS = 1e-8
 CLIP_NORM = 5.0  # global gradient-norm ceiling per step
 
 MODEL_FORMAT = "reviewgen-score-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,7 +249,6 @@ def save_model(model: ScoreModel, path: str | Path) -> None:
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "max_seq_len": model.max_seq_len,
-        "min_count": model.vocab.min_count,
         "vocab": model.vocab.to_list(),
         "params": {name: _encode_array(arr) for name, arr in model.params.items()},
     }
@@ -269,8 +268,8 @@ def load_model(path: str | Path) -> ScoreModel:
             f"unsupported model version {payload.get('version')!r}"
         )
     try:
-        min_count, max_seq_len = payload["min_count"], payload["max_seq_len"]
-        vocab = Vocab.from_list(payload["vocab"], min_count)
+        max_seq_len = payload["max_seq_len"]
+        vocab = Vocab.from_list(payload["vocab"])
         raw_params = payload["params"]
         arrays = {
             f.name: _decode_array(raw_params[f.name], f.name)
@@ -278,11 +277,10 @@ def load_model(path: str | Path) -> ScoreModel:
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"model file {path} is malformed: {exc}") from exc
-    for name, value in (("min_count", min_count), ("max_seq_len", max_seq_len)):
-        if type(value) is not int:
-            raise ParseError(
-                f"model file {path}: {name} must be an integer, got {value!r}"
-            )
+    if type(max_seq_len) is not int:
+        raise ParseError(
+            f"model file {path}: max_seq_len must be an integer, got {max_seq_len!r}"
+        )
     if max_seq_len < 1:
         raise ParseError(f"model file {path}: max_seq_len {max_seq_len} is below 1")
     params = ModelParams(**arrays)

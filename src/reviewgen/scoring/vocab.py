@@ -21,27 +21,20 @@ class Vocab:
     """Dense token -> index map; indices 0-2 are reserved specials."""
 
     index: dict[str, int]
-    min_count: int = 1
 
     @classmethod
-    def build(cls, sequences: Iterable[Sequence[str]], min_count: int = 1) -> "Vocab":
+    def build(cls, sequences: Iterable[Sequence[str]]) -> "Vocab":
         """Build from token sequences, input-order independent.
 
-        Tokens below ``min_count`` fall back to UNK at encode time.
-        Surviving tokens are indexed in sorted order after the specials,
-        so any permutation of the same multiset yields the same vocab.
+        Tokens are indexed in sorted order after the specials, so any
+        permutation of the same sequences yields the same vocab; a token
+        not in the vocab encodes as UNK.
         """
-        counts: dict[str, int] = {}
-        for seq in sequences:
-            for token in seq:
-                if token in _SPECIALS:
-                    continue
-                counts[token] = counts.get(token, 0) + 1
+        tokens = {token for seq in sequences for token in seq}.difference(_SPECIALS)
         index = {token: i for i, token in enumerate(_SPECIALS)}
-        kept = sorted(t for t, c in counts.items() if c >= min_count)
-        for offset, token in enumerate(kept):
+        for offset, token in enumerate(sorted(tokens)):
             index[token] = len(_SPECIALS) + offset
-        return cls(index=index, min_count=min_count)
+        return cls(index=index)
 
     def __len__(self) -> int:
         return len(self.index)
@@ -55,10 +48,10 @@ class Vocab:
         return [token for token, _ in ordered]
 
     @classmethod
-    def from_list(cls, tokens: list[str], min_count: int = 1) -> "Vocab":
+    def from_list(cls, tokens: list[str]) -> "Vocab":
         if tuple(tokens[:3]) != _SPECIALS:
             raise ValueError("vocab list must start with the reserved specials")
         index = {t: i for i, t in enumerate(tokens)}
         if len(index) != len(tokens) or not all(isinstance(t, str) for t in tokens):
             raise ValueError("vocab list must hold distinct strings")
-        return cls(index=index, min_count=min_count)
+        return cls(index=index)

@@ -68,13 +68,15 @@ def golden(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
 
 
-def corrupted_backward(block):
-    """``backward`` with 0.01 added to the gradient of one parameter block."""
+def corrupted_backward(block, rows=slice(None)):
+    """``backward`` with 0.01 added to the gradient of one parameter block,
+    or to ``rows`` of it."""
     exact = grad.backward
 
     def corrupted(*args, **kwargs):
         grads = exact(*args, **kwargs)
-        grads[block] = grads[block] + 0.01
+        grads[block] = grads[block].copy()
+        grads[block][rows] += 0.01
         return grads
 
     return corrupted

@@ -325,8 +325,9 @@ def oracle_load_rows(
         locus = f"{path}:{lineno}"
         try:
             row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{locus}: malformed row: {exc.msg}") from exc
+        except ValueError as exc:  # JSONDecodeError, or an int past int()'s digit limit
+            msg = getattr(exc, "msg", exc)
+            raise ParseError(f"{locus}: malformed row: {msg}") from exc
         if not isinstance(row, list):
             raise ParseError(f"{locus}: row must be an array")
         key = _oracle_key_from_fields(row[:-1], locus, interned)
@@ -505,6 +506,14 @@ def oracle_backward(trace, target: int, params) -> dict:
     grads["w_att"] = dpre_att.T @ h_states
     d_hidden[1:] += dpre_att @ params.w_att
 
+    # each gate's weights, recurrent weights and bias are row slices of the
+    # stacked tensors; their gradients accumulate into the same slices
+    gate_z, gate_r, gate_h = slice(0, d_h), slice(d_h, 2 * d_h), slice(2 * d_h, None)
+    w_z, w_r, w_h = (params.w_in[g] for g in (gate_z, gate_r, gate_h))
+    u_z, u_r = params.u_zr[gate_z], params.u_zr[gate_r]
+    dw_z, dw_r, dw_h = (grads["w_in"][g] for g in (gate_z, gate_r, gate_h))
+    db_z, db_r, db_h = (grads["b_in"][g] for g in (gate_z, gate_r, gate_h))
+    du_z, du_r = grads["u_zr"][gate_z], grads["u_zr"][gate_r]
     dx = np.zeros_like(trace.x)
     for s in range(t_len - 1, -1, -1):
         dh_new = d_hidden[s + 1]
@@ -516,27 +525,27 @@ def oracle_backward(trace, target: int, params) -> dict:
         dh_prev = dh_new * (1.0 - z)
 
         da_h = dh_tilde * (1.0 - h_tilde**2)
-        grads["w_h"] += np.outer(da_h, trace.x[s])
+        dw_h += np.outer(da_h, trace.x[s])
         grads["u_h"] += np.outer(da_h, r * h_prev)
-        grads["b_h"] += da_h
-        dx[s] += params.w_h.T @ da_h
+        db_h += da_h
+        dx[s] += w_h.T @ da_h
         d_rh = params.u_h.T @ da_h
         dr = d_rh * h_prev
         dh_prev += d_rh * r
 
         da_z = dz * z * (1.0 - z)
-        grads["w_z"] += np.outer(da_z, trace.x[s])
-        grads["u_z"] += np.outer(da_z, h_prev)
-        grads["b_z"] += da_z
-        dx[s] += params.w_z.T @ da_z
-        dh_prev += params.u_z.T @ da_z
+        dw_z += np.outer(da_z, trace.x[s])
+        du_z += np.outer(da_z, h_prev)
+        db_z += da_z
+        dx[s] += w_z.T @ da_z
+        dh_prev += u_z.T @ da_z
 
         da_r = dr * r * (1.0 - r)
-        grads["w_r"] += np.outer(da_r, trace.x[s])
-        grads["u_r"] += np.outer(da_r, h_prev)
-        grads["b_r"] += da_r
-        dx[s] += params.w_r.T @ da_r
-        dh_prev += params.u_r.T @ da_r
+        dw_r += np.outer(da_r, trace.x[s])
+        du_r += np.outer(da_r, h_prev)
+        db_r += da_r
+        dx[s] += w_r.T @ da_r
+        dh_prev += u_r.T @ da_r
 
         d_hidden[s] += dh_prev
 

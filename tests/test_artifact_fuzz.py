@@ -14,13 +14,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import shutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TOY_DIR
+from conftest import TOY_DIR, run_cli
 from reviewgen.cli import main
 from synth import assert_loads_as_oracle
 
@@ -165,7 +166,7 @@ def test_index_header_field_not_an_integer_exits_3(trained, workdir, field, valu
     assert review_exit_code(index, trained["models"]) == 3
 
 
-@pytest.mark.parametrize("field, value", [("max_seq_len", "40"), ("min_count", True)])
+@pytest.mark.parametrize("field, value", [("max_seq_len", "40")])
 def test_model_field_not_an_integer_exits_3(trained, workdir, field, value):
     models = workdir / f"models-{field}"
     shutil.copytree(trained["models"], models)
@@ -174,6 +175,51 @@ def test_model_field_not_an_integer_exits_3(trained, workdir, field, value):
     payload[field] = value
     path.write_text(json.dumps(payload), encoding="utf-8")
     assert review_exit_code(trained["index"], models) == 3
+
+
+# json raises a plain ValueError, not a JSONDecodeError, for an integer of
+# more digits than int() converts (4300 by default)
+HUGE = "9" * 5000
+
+
+def _put_huge_integer(path, pattern) -> None:
+    """Replace group 1 of ``pattern``'s first match in ``path`` by ``HUGE``."""
+    text = path.read_text(encoding="utf-8")
+    match = re.search(pattern, text, flags=re.M)
+    assert match is not None, pattern
+    path.write_text(text[: match.start(1)] + HUGE + text[match.end(1) :],
+                    encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "artifact, pattern",
+    [("index", r"^\[.*, (\d+)\]\]\]$"),  # the last posting year of a row
+     ("index", r'"n_papers": (\d+)'),
+     ("model", r'"max_seq_len": (\d+)')],
+    ids=["posting-year", "n_papers", "max_seq_len"],
+)
+def test_huge_integer_in_artifact_exits_3(trained, tmp_path, artifact, pattern):
+    index, models = tmp_path / "index.json", tmp_path / "models"
+    shutil.copy(trained["index"], index)
+    shutil.copytree(trained["models"], models)
+    broken = index if artifact == "index" else models / "novelty.json"
+    _put_huge_integer(broken, pattern)
+    result = run_cli("review", PAPER, "--index", index, "--models", models)
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    assert f"cannot load {broken}" in result.stderr
+
+
+def test_huge_integer_in_paper_exits_2(trained, tmp_path):
+    paper = tmp_path / "P05.json"
+    shutil.copy(PAPER, paper)
+    _put_huge_integer(paper, r'"year": (\d+)')
+    result = run_cli(
+        "review", paper, "--index", trained["index"], "--models", trained["models"]
+    )
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert f"error: {paper}: invalid JSON" in result.stderr
 
 
 @FUZZ

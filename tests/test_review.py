@@ -150,6 +150,32 @@ class TestTemplateParsing:
         assert result.returncode == 0, result.stderr
         assert result.stdout == "ValidationError relation_phrases missing 'used_for'\n"
 
+    @pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
+    def test_first_bad_pool_is_in_pool_order(self, hash_seed):
+        # with all four pools malformed, "positive" is named whatever the seed
+        script = (
+            "import json, sys\n"
+            "from reviewgen.review import parse_templates\n"
+            "raw = json.loads(sys.stdin.read())\n"
+            "raw['categories']['novelty'] = {k: 'x' for k in\n"
+            "    ('negative_empty', 'positive_empty', 'negative', 'positive')}\n"
+            "try:\n"
+            "    parse_templates(raw)\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            input=TEMPLATE_PATH.read_text(encoding="utf-8"),
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (
+            "ValidationError novelty.positive: expected a list of strings\n"
+        )
+
     def test_unknown_category_name_rejected(self):
         raw = raw_templates()
         raw["categories"]["bogus"] = {"positive": ["x"], "negative": ["y"]}

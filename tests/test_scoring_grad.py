@@ -22,6 +22,16 @@ from reviewgen.scoring.model import (
 )
 
 BLOCK_NAMES = [f.name for f in __import__("dataclasses").fields(ModelParams)]
+# (stacked tensor, gate index) of each GRU gate's rows
+GATE_ROWS = {
+    "w_z": ("w_in", 0), "w_r": ("w_in", 1), "w_h": ("w_in", 2),
+    "u_z": ("u_zr", 0), "u_r": ("u_zr", 1),
+    "b_z": ("b_in", 0), "b_r": ("b_in", 1), "b_h": ("b_in", 2),
+}
+# every unstacked block, and each gate's rows of the stacked ones
+CORRUPTIBLE = [
+    *GATE_ROWS, *(name for name in BLOCK_NAMES if name not in ("w_in", "u_zr", "b_in"))
+]
 
 
 class TestGradientCheck:
@@ -35,10 +45,14 @@ class TestGradientCheck:
     def test_longer_sequence(self):
         assert gradient_check(5, dims=(3, 5, 3, 2), max_seq_len=10) < 1e-4
 
-    @pytest.mark.parametrize("block", BLOCK_NAMES)
+    @pytest.mark.parametrize("block", CORRUPTIBLE)
     def test_detects_corruption_in_every_block(self, block, monkeypatch):
-        """Adding 0.01 to any single block must trip the check."""
-        monkeypatch.setattr(grad, "backward", corrupted_backward(block))
+        """Adding 0.01 to any single block, or to one gate's rows, must trip
+        the check."""
+        name, gate = GATE_ROWS.get(block, (block, None))
+        d_h = 4  # gradient_check's default dims
+        rows = slice(None) if gate is None else slice(gate * d_h, (gate + 1) * d_h)
+        monkeypatch.setattr(grad, "backward", corrupted_backward(name, rows))
         assert gradient_check(0) > 1e-2
 
     def test_deterministic(self):
@@ -123,7 +137,7 @@ class TestOracleBackward:
         rng = np.random.default_rng([seed, 11])
         vocab_size = int(rng.integers(seq_len // 2 + 1, seq_len + 3))
         params = init_params(vocab_size, config, 5)
-        for name in ("b_z", "b_r", "b_h", "b_ev", "b_out"):
+        for name in ("b_in", "b_ev", "b_out"):
             arr = getattr(params, name)
             arr[...] = rng.normal(scale=0.5, size=arr.shape)
         token_ids = rng.integers(0, vocab_size, size=seq_len).tolist()
@@ -139,7 +153,7 @@ class TestOracleBackward:
             np.testing.assert_allclose(
                 batched[name], expected[name], rtol=0, atol=1e-12, err_msg=name
             )
-        assert np.any(batched["w_z"] != 0.0) and np.any(batched["embed"] != 0.0)
+        assert np.any(batched["w_in"] != 0.0) and np.any(batched["embed"] != 0.0)
 
 
 class TestMaxRelativeError:

@@ -56,10 +56,12 @@ def s_softmax(scores):
 
 
 def s_gru_step(x, h_prev, p: ModelParams):
-    wz, wr, wh = p.w_z.tolist(), p.w_r.tolist(), p.w_h.tolist()
-    uz, ur, uh = p.u_z.tolist(), p.u_r.tolist(), p.u_h.tolist()
-    bz, br, bh = p.b_z.tolist(), p.b_r.tolist(), p.b_h.tolist()
-    d_h = len(bz)
+    # each gate's block is a row slice of the stacked tensors
+    w_in, b_in, u_zr = p.w_in.tolist(), p.b_in.tolist(), p.u_zr.tolist()
+    d_h = p.d_h
+    wz, wr, wh = w_in[:d_h], w_in[d_h : 2 * d_h], w_in[2 * d_h :]
+    uz, ur, uh = u_zr[:d_h], u_zr[d_h:], p.u_h.tolist()
+    bz, br, bh = b_in[:d_h], b_in[d_h : 2 * d_h], b_in[2 * d_h :]
     z = [s_sigmoid(s_matvec(wz, x)[i] + s_matvec(uz, h_prev)[i] + bz[i])
          for i in range(d_h)]
     r = [s_sigmoid(s_matvec(wr, x)[i] + s_matvec(ur, h_prev)[i] + br[i])
@@ -142,7 +144,7 @@ class TestGruStep:
     def test_zero_params_halve_state(self):
         p = zero_params()
         p.embed[1] = [1.0, -2.0, 0.5]
-        p.w_h[...] = small_params().w_h
+        p.w_in[2 * p.d_h :] = small_params().w_in[2 * p.d_h :]  # W_h
         # token 1 moves the state off zero; token 0 embeds to the zero input
         trace = forward_trace([1, 0, 0], np.zeros(17), p)
         assert np.any(trace.h[1] != 0.0)
@@ -178,7 +180,7 @@ class TestAttend:
         p = small_params()
         # a saturated update gate and no recurrent candidate term make
         # h_t depend on the current token alone
-        p.b_z[...] = 1000.0
+        p.b_in[: p.d_h] = 1000.0  # b_z
         p.u_h[...] = 0.0
         trace = forward_trace([3, 3], np.ones(17), p)
         np.testing.assert_array_equal(trace.h[1], trace.h[2])
@@ -308,7 +310,7 @@ class TestInit:
 
     def test_biases_start_at_zero(self):
         p = small_params()
-        for name in ("b_z", "b_r", "b_h", "b_ev", "b_out"):
+        for name in ("b_in", "b_ev", "b_out"):
             np.testing.assert_array_equal(getattr(p, name), 0.0)
 
     def test_check_shapes(self):

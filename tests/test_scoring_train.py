@@ -62,14 +62,9 @@ class TestVocab:
         vocab = Vocab.build([["apple"]])
         assert vocab.encode(["apple", "mystery"]) == (3, 0)
 
-    def test_min_count_filters(self):
-        vocab = Vocab.build([["rare", "common"], ["common"]], min_count=2)
-        assert "rare" not in vocab.to_list()
-        assert "common" in vocab.to_list()
-
     def test_round_trip_through_list(self):
-        vocab = Vocab.build([["b", "a", "c"]], min_count=1)
-        assert Vocab.from_list(vocab.to_list(), 1) == vocab
+        vocab = Vocab.build([["b", "a", "c"]])
+        assert Vocab.from_list(vocab.to_list()) == vocab
 
 
 class TestTrain:
@@ -279,8 +274,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("max_seq_len", 40.7), ("max_seq_len", "40"), ("min_count", 1.5),
-         ("min_count", True)],
+        [("max_seq_len", 40.7), ("max_seq_len", "40")],
     )
     def test_integer_fields_must_be_exact(self, tmp_path, field, value):
         path = tmp_path / "m.json"
@@ -311,7 +305,10 @@ class TestPersistence:
         path = tmp_path / "m.json"
         save_model(model, path)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["version"] = 99
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(FormatVersionError):
-            load_model(path)
+        for version in (99, 1):  # 1: the per-gate tensors before stacking
+            payload["version"] = version
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            with pytest.raises(
+                FormatVersionError, match=f"unsupported model version {version}$"
+            ):
+                load_model(path)
