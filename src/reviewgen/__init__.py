@@ -6,6 +6,16 @@ per-category evidence, predicts 1-5 review scores with a small
 attentional recurrent classifier, and renders template-based comments.
 """
 
+import os
+
+# One BLAS thread per process unless the user set a count: the network's
+# matrices are too small to gain from threads, and `train` already runs a
+# process per CPU, whose thread pools would fight over the cores. BLAS
+# reads these when numpy is first imported, so they are set before that.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
+
 from reviewgen.background import (
     BackgroundIndex,
     PaperRef,

@@ -162,22 +162,19 @@ def evidence_features(
 ) -> np.ndarray:
     """Deterministic 17-dim summary of one paper's evidence; ``scores`` is
     ``tfidf(index, gp)``, whose mean is the last feature."""
-    features = np.zeros(FEATURE_DIM, dtype=np.float64)
+    features = dict.fromkeys(FEATURE_NAMES, 0.0)
     by_rep = gp.entity_by_representative
-    entity_type_order = list(EntityType)
-    relation_order = list(RelationType)
     for key in novelty_new:
         if key.is_edge:
-            features[6 + relation_order.index(key.relation)] += 1.0
+            features[f"new_edges_{key.relation.value}"] += 1.0
         else:
-            etype = by_rep[key.head].entity_type
-            features[entity_type_order.index(etype)] += 1.0
-    features[13] = float(len(gp.entities))
-    features[14] = float(len(gp.edges))
-    features[15] = float(len(comparison))
+            features[f"new_nodes_{by_rep[key.head].entity_type.value}"] += 1.0
+    features["total_entities"] = float(len(gp.entities))
+    features["total_edges"] = float(len(gp.edges))
+    features["comparison_entries"] = float(len(comparison))
     if scores:
-        features[16] = float(np.mean(list(scores.values())))
-    return features
+        features["mean_tfidf"] = float(np.mean(list(scores.values())))
+    return np.array(list(features.values()), dtype=np.float64)
 
 
 def build_bundle(paper: PaperRecord, index: BackgroundIndex) -> EvidenceBundle:

@@ -93,12 +93,10 @@ class CategoryTemplates:
     negative_empty: tuple[str, ...] = ()
 
     def pick(self, polarity: Polarity, empty: bool, variant: int) -> str:
-        pool = {
-            (Polarity.POSITIVE, False): self.positive,
-            (Polarity.NEGATIVE, False): self.negative,
-            (Polarity.POSITIVE, True): self.positive_empty or self.positive,
-            (Polarity.NEGATIVE, True): self.negative_empty or self.negative,
-        }[(polarity, empty)]
+        positive = polarity is Polarity.POSITIVE
+        pool = self.positive if positive else self.negative
+        if empty:
+            pool = (self.positive_empty if positive else self.negative_empty) or pool
         return pool[variant % len(pool)]
 
 
@@ -221,10 +219,17 @@ def default_templates() -> TemplateSet:
     return parse_templates(json.loads(text))
 
 
-def _fill(template: str, **slots: object) -> str:
-    mapping = {name: "" for name in TEMPLATE_SLOTS}
-    mapping.update({k: str(v) for k, v in slots.items()})
-    return string.Template(template).substitute(mapping)
+def _comment(
+    templates: TemplateSet, category: Category, score: int, empty: bool, **slots: object
+) -> list[str]:
+    """The one comment recipe: the score's polarity picks the category's pool
+    (its *_empty pool when there is no evidence), the set's variant picks the
+    template, and ``slots`` fill it; unset slots render blank."""
+    template = templates.categories[category].pick(
+        select_polarity(score), empty, templates.variant
+    )
+    blank = dict.fromkeys(TEMPLATE_SLOTS, "")
+    return [string.Template(template).substitute(blank, SCORE=score, **slots)]
 
 
 def element_text(key: ElementKey, surfaces: Mapping[NormalizedString, str]) -> str:
@@ -253,17 +258,13 @@ def generate_summary(
     summary: KnowledgeGraph, overall_score: int, templates: TemplateSet
 ) -> list[str]:
     """Summary comment controlled by the overall recommendation score."""
-    polarity = select_polarity(overall_score)
-    block = templates.categories[Category.SUMMARY]
     edges = sorted(summary.edges, key=lambda e: edge_key(summary, e).sort_key())
     realized = [
         realize_relation(e, summary, templates.relation_phrases)
         for e in edges[:MAX_RELATION_SENTENCES]
     ]
-    tpl = block.pick(polarity, empty=not realized, variant=templates.variant)
-    return [
-        _fill(tpl, RELATION_SENTENCES=" ".join(realized), SCORE=overall_score)
-    ]
+    return _comment(templates, Category.SUMMARY, overall_score, not realized,
+                    RELATION_SENTENCES=" ".join(realized))
 
 
 def generate_novelty(
@@ -273,16 +274,14 @@ def generate_novelty(
     surfaces: Mapping[NormalizedString, str],
 ) -> list[str]:
     """Novelty comment: states the exact new-element count, lists up to 5."""
-    polarity = select_polarity(score)
-    block = templates.categories[Category.NOVELTY]
-    tpl = block.pick(polarity, empty=not novelty_new, variant=templates.variant)
     count = len(novelty_new)
     shown = [element_text(k, surfaces) for k in novelty_new[:MAX_NOVEL_ELEMENTS]]
     noun = "element" if count == 1 else "elements"
     listing = f"{count} new knowledge {noun}"
     if shown:
         listing += ": " + "; ".join(shown)
-    return [_fill(tpl, ELEMENTS=listing, SCORE=score)]
+    return _comment(templates, Category.NOVELTY, score, not novelty_new,
+                    ELEMENTS=listing)
 
 
 def generate_comparison(
@@ -292,16 +291,14 @@ def generate_comparison(
     surfaces: Mapping[NormalizedString, str],
 ) -> list[str]:
     """Comparison comment naming uncited-paper recommendations per element."""
-    polarity = select_polarity(score)
-    block = templates.categories[Category.MEANINGFUL_COMPARISON]
     entries = comparison[:MAX_COMPARISON_ENTRIES]
-    tpl = block.pick(polarity, empty=not entries, variant=templates.variant)
     clauses = []
     for entry in entries:
         refs = recommend_related(entry)
         listed = ", ".join(f"{ref.paper_id} ({ref.year})" for ref in refs)
         clauses.append(f"for {element_text(entry.element, surfaces)}: {listed}")
-    return [_fill(tpl, RECOMMENDATIONS="; ".join(clauses), SCORE=score)]
+    return _comment(templates, Category.MEANINGFUL_COMPARISON, score, not entries,
+                    RECOMMENDATIONS="; ".join(clauses))
 
 
 def generate_generic(
@@ -310,10 +307,7 @@ def generate_generic(
     """One polarity-matched sentence with the score filled in."""
     if category not in GENERIC_CATEGORIES:
         raise ValueError(f"{category.value} has its own generator")
-    polarity = select_polarity(score)
-    block = templates.categories[category]
-    return [_fill(block.pick(polarity, empty=False, variant=templates.variant),
-                  SCORE=score)]
+    return _comment(templates, category, score, False)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
+import os
 import re
 import shutil
 
@@ -75,15 +77,18 @@ def review_exit_code(index, models, paper=PAPER, templates=None) -> int:
 
 
 @pytest.fixture(scope="module")
-def workdir(tmp_path_factory, trained):
+def fresh(tmp_path_factory):
+    """``fresh(name)``: a path that nothing has written yet. Each example
+    writes its own files, because replacing a file that has been written
+    back can cost 0.1 s on ext4 mounted with ``discard``."""
     root = tmp_path_factory.mktemp("fuzz")
-    shutil.copytree(trained["models"], root / "models")
-    return root
+    counter = itertools.count()
+    return lambda name: root / f"{next(counter)}-{name}"
 
 
 @FUZZ
 @given(data=st.data())
-def test_mutated_index_loads_or_exits_3(trained, workdir, data):
+def test_mutated_index_loads_or_exits_3(trained, fresh, data):
     lines = trained["index"].read_bytes().splitlines()
     i = data.draw(st.integers(0, len(lines) - 1), label="line")
     op = data.draw(
@@ -103,7 +108,7 @@ def test_mutated_index_loads_or_exits_3(trained, workdir, data):
         at = data.draw(st.integers(0, len(lines[i])))
         junk = data.draw(st.binary(min_size=1, max_size=4))
         lines[i] = lines[i][:at] + junk + lines[i][at:]
-    index = workdir / "bg.json"
+    index = fresh("bg.json")
     index.write_bytes(b"\n".join(lines) + b"\n")
     assert review_exit_code(index, trained["models"]) in (0, 3)
 
@@ -121,7 +126,7 @@ ROW_JUNK = st.text(
 
 @FUZZ
 @given(data=st.data())
-def test_mutated_rows_load_as_the_oracle_does(trained, workdir, data):
+def test_mutated_rows_load_as_the_oracle_does(trained, fresh, data):
     """Both give equal postings in the same key order, or both raise a
     ParseError with the same message."""
     lines = trained["index"].read_text(encoding="utf-8").split("\n")[:-1]
@@ -142,7 +147,7 @@ def test_mutated_rows_load_as_the_oracle_does(trained, workdir, data):
     else:
         pad = st.text(st.sampled_from(" \t"), max_size=2)
         lines[i] = data.draw(pad) + lines[i] + data.draw(pad)
-    path = workdir / "rows.json"
+    path = fresh("rows.json")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert_loads_as_oracle(path)
 
@@ -156,19 +161,19 @@ def test_mutated_rows_load_as_the_oracle_does(trained, workdir, data):
                          "2017": 2}),
     ],
 )
-def test_index_header_field_not_an_integer_exits_3(trained, workdir, field, value):
+def test_index_header_field_not_an_integer_exits_3(trained, tmp_path, field, value):
     lines = trained["index"].read_text(encoding="utf-8").split("\n")
     header = json.loads(lines[0])
     header[field] = value
     lines[0] = json.dumps(header, sort_keys=True)
-    index = workdir / "header.json"
+    index = tmp_path / "header.json"
     index.write_text("\n".join(lines), encoding="utf-8")
     assert review_exit_code(index, trained["models"]) == 3
 
 
 @pytest.mark.parametrize("field, value", [("max_seq_len", "40")])
-def test_model_field_not_an_integer_exits_3(trained, workdir, field, value):
-    models = workdir / f"models-{field}"
+def test_model_field_not_an_integer_exits_3(trained, tmp_path, field, value):
+    models = tmp_path / "models"
     shutil.copytree(trained["models"], models)
     path = models / "novelty.json"
     payload = json.loads(path.read_text(encoding="utf-8"))
@@ -224,7 +229,7 @@ def test_huge_integer_in_paper_exits_2(trained, tmp_path):
 
 @FUZZ
 @given(data=st.data())
-def test_index_breaking_an_invariant_exits_3(trained, workdir, data):
+def test_index_breaking_an_invariant_exits_3(trained, fresh, data):
     """Edits that keep every row well-formed but break what the builder
     guarantees: one year per paper, each posting year counted, refs sorted
     and unique within a row, no more papers than n_papers."""
@@ -262,14 +267,14 @@ def test_index_breaking_an_invariant_exits_3(trained, workdir, data):
         extra = header["n_papers"] - len(papers) + data.draw(st.integers(1, 3))
         refs.extend([f"{refs[-1][0]}~{i}", counted[0]] for i in range(extra))
     lines[1:] = [json.dumps(row) for row in rows]
-    index = workdir / "bg.json"
+    index = fresh("bg.json")
     index.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert review_exit_code(index, trained["models"]) == 3
 
 
 @FUZZ
 @given(data=st.data())
-def test_mutated_model_loads_or_exits_3(trained, workdir, data):
+def test_mutated_model_loads_or_exits_3(trained, fresh, data):
     text = (trained["models"] / "novelty.json").read_text(encoding="utf-8")
     if data.draw(st.booleans()):
         payload = json.loads(text)
@@ -277,26 +282,30 @@ def test_mutated_model_loads_or_exits_3(trained, workdir, data):
         text = json.dumps(payload)
     else:
         text = text[: data.draw(st.integers(0, len(text) - 1))]
-    (workdir / "models" / "novelty.json").write_text(text, encoding="utf-8")
-    assert review_exit_code(trained["index"], workdir / "models") in (0, 3)
+    # the six unchanged models are linked, not copied: no data is written
+    models = fresh("models")
+    shutil.copytree(trained["models"], models, copy_function=os.link,
+                    ignore=shutil.ignore_patterns("novelty.json"))
+    (models / "novelty.json").write_text(text, encoding="utf-8")
+    assert review_exit_code(trained["index"], models) in (0, 3)
 
 
 @FUZZ
 @given(data=st.data())
-def test_mutated_paper_reviews_or_exits_2(trained, workdir, data):
+def test_mutated_paper_reviews_or_exits_2(trained, fresh, data):
     paper = json.loads(P12.read_text(encoding="utf-8"))
     mutate_json(data, paper)
-    path = workdir / "paper.json"
+    path = fresh("paper.json")
     path.write_text(json.dumps(paper), encoding="utf-8")
     assert review_exit_code(trained["index"], trained["models"], paper=path) in (0, 2)
 
 
 @FUZZ
 @given(data=st.data())
-def test_mutated_templates_review_or_exit_2(trained, workdir, data):
+def test_mutated_templates_review_or_exit_2(trained, fresh, data):
     templates = json.loads(TEMPLATES.read_text(encoding="utf-8"))
     mutate_json(data, templates)
-    path = workdir / "templates.json"
+    path = fresh("templates.json")
     path.write_text(json.dumps(templates), encoding="utf-8")
     code = review_exit_code(trained["index"], trained["models"], P12, path)
     assert code in (0, 2)

@@ -411,8 +411,8 @@ def labels_doc(reviews: list[dict]) -> list:
     return [{"paper_id": "P99", "reviews": reviews}]
 
 
-def write_labels(tmp_path: Path, payload: list) -> Path:
-    path = tmp_path / "labels.json"
+def write_labels(tmp_path: Path, payload: list, name: str = "labels.json") -> Path:
+    path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path
 
@@ -492,8 +492,10 @@ class TestTargetScores:
         rng = random.Random(7)
         for case in range(200):
             scores = [rng.randint(1, 5) for _ in range(rng.randint(1, 6))]
+            # a new file per case: replacing a written file can cost 0.1 s
             path = write_labels(
-                tmp_path, labels_doc([{"soundness": s} for s in scores])
+                tmp_path, labels_doc([{"soundness": s} for s in scores]),
+                f"labels{case}.json",
             )
             (entry,) = load_review_labels(path)
             mean = Fraction(sum(scores), len(scores))

@@ -347,6 +347,41 @@ class TestGenerateGeneric:
                 generate_generic(category, 4, tset)
 
 
+def two_variant_templates(variant: int):
+    """Every pool of every category holds a "first" and a "second" template,
+    each naming its pool."""
+    raw = raw_templates()
+    pools = ("positive", "negative", "positive_empty", "negative_empty")
+    raw["categories"] = {
+        category.value: {
+            pool: [f"{ordinal} {pool} ${{SCORE}}" for ordinal in ("first", "second")]
+            for pool in pools
+        }
+        for category in Category
+    }
+    raw["variant"] = variant
+    return parse_templates(raw)
+
+
+class TestVariant:
+    @pytest.mark.parametrize("variant, ordinal", [(1, "second"), (2, "first")])
+    @pytest.mark.parametrize("score", [2, 4])
+    def test_every_comment_takes_the_variant(
+        self, papers, index2018, variant, ordinal, score
+    ):
+        """Variant 1 takes the second template in all eight comments, and
+        variant 2 wraps around to the first."""
+        bundle = build_bundle(papers["P12"], index2018)
+        doc = assemble("P12", make_report(default=score), bundle,
+                       two_variant_templates(variant))
+        polarity = "positive" if score > 3 else "negative"
+        assert len(doc.comments) == 8
+        for comments in doc.comments.values():
+            (sentence,) = comments
+            assert sentence.startswith(f"{ordinal} {polarity}")
+            assert sentence.endswith(f" {score}")
+
+
 class TestAssembleRender:
     def test_eight_comment_sections(self, papers, index2018):
         bundle = build_bundle(papers["P12"], index2018)

@@ -7,6 +7,8 @@ from __future__ import annotations
 import errno
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -69,7 +71,8 @@ class TestSameResult:
         assert list(_models(models)) == sorted(MODEL_NAMES)
 
     def test_threaded_blas_matches(self, index, one_process, tmp_path):
-        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+        # reviewgen runs BLAS on one thread unless asked for more
+        env = {"OPENBLAS_NUM_THREADS": "2"}
         for cpus in (1, 2):
             models = tmp_path / f"models{cpus}"
             result = run_cli(*_argv(LABELS, index, models), env=env, cpus=cpus)
@@ -85,6 +88,33 @@ class TestSameResult:
             assert _lines_of(stdout, category.value).endswith(
                 f"[{category.value}] saved (11 examples)\n"
             )
+
+
+class TestBlasThreads:
+    """``import reviewgen`` asks BLAS for one thread unless the user set a
+    count; checked in a fresh interpreter, before anything loads numpy."""
+
+    def _env_after_import(self, **user) -> dict[str, str | None]:
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+        code = (
+            "import json, os, sys, reviewgen; "
+            "print(json.dumps({k: os.environ.get(k) for k in sys.argv[1:]}))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, *BLAS_THREADS],
+            capture_output=True, text=True, env={**env, **user},
+        )
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout)
+
+    def test_unset_variables_become_one(self):
+        assert self._env_after_import() == dict.fromkeys(BLAS_THREADS, "1")
+
+    @pytest.mark.parametrize("name", BLAS_THREADS)
+    def test_user_value_is_kept(self, name):
+        assert self._env_after_import(**{name: "3"}) == {
+            **dict.fromkeys(BLAS_THREADS, "1"), name: "3"
+        }
 
 
 @pytest.mark.parametrize("cpus_used", [1, 2])
