@@ -3,12 +3,14 @@
 The index maps every knowledge element seen in pre-cutoff papers to the
 papers (with years) that contain it, and carries the paper counts needed
 for TF-IDF; ``tfidf`` scores every element of one paper graph per call.
-Matching against the index is fuzzy: two elements match when their
-representatives contain one another (lifted to both endpoints for
-edges). Candidates come from two sides of that containment: the keys
-whose head holds the query head's rarest token cover every superstring,
-and exact-head lookups of the query head's contiguous sub-spans cover
-every substring. The brute-force scan lives in the tests as the oracle.
+Two representatives match when one occurs contiguously inside the other,
+and two edges match when their relations are equal and both endpoints
+match. Matching is an exact lookup: one pass over the keys records every
+indexed text with its node key, maps each proper sub-span of a text to
+the longer texts that hold it, and groups the edge keys by relation and
+head. The texts that match a query are then the ones that hold it, and
+its own sub-spans that are indexed. The brute-force scan lives in the
+tests as the oracle.
 
 A saved index is read back one line per row. json's C scanner parses each
 line, and any line it does not parse to its end is parsed again by
@@ -47,7 +49,6 @@ from reviewgen.kg import (
     KnowledgeGraph,
     NormalizedString,
     build_kg,
-    coreferential,
     elements,
 )
 from reviewgen.parallel import fork_map
@@ -80,53 +81,48 @@ class BackgroundIndex:
     postings: dict[ElementKey, tuple[PaperRef, ...]]
 
     @cached_property
-    def _hints(self) -> dict[tuple[bool, str], list[ElementKey]]:
-        # (is_edge, token) -> keys whose head contains the token
-        hints: dict[tuple[bool, str], list[ElementKey]] = {}
-        for (is_edge, head), keys in self._by_head.items():
-            for token in set(head):
-                hints.setdefault((is_edge, token), []).extend(keys)
-        return hints
-
-    @cached_property
-    def _by_head(self) -> dict[tuple[bool, NormalizedString], list[ElementKey]]:
-        # (is_edge, head) -> keys with exactly that head
-        by_head: dict[tuple[bool, NormalizedString], list[ElementKey]] = {}
+    def _lookup(self) -> tuple[dict, dict, dict]:
+        # each indexed text (node head, edge head or tail) -> its node key,
+        # or None; each proper sub-span -> the longer texts holding it (twice
+        # if it occurs twice, which does no harm); (relation, head) -> edge keys
+        texts, holders, edges = {}, {}, {}
         for key in self.postings:
-            by_head.setdefault((key.is_edge, key.head), []).append(key)
-        return by_head
+            head, relation, tail = key
+            if relation is None:
+                texts[head] = key
+            else:
+                edges.setdefault((relation, head), []).append(key)
+                texts.setdefault(head, None)
+                texts.setdefault(tail, None)
+        for text in texts:
+            n = len(text)
+            for size in range(1, n):
+                for i in range(n - size + 1):
+                    holders.setdefault(text[i : i + size], []).append(text)
+        return texts, holders, edges
+
+    def _matching_texts(self, text: NormalizedString) -> set[NormalizedString]:
+        """The indexed texts that hold ``text`` or that it holds."""
+        texts, holders, _ = self._lookup
+        n = len(text)
+        spans = (text[i:j] for i in range(n) for j in range(i + 1, n + 1))
+        return {*holders.get(text, ()), *(span for span in spans if span in texts)}
 
     def candidate_keys(self, key: ElementKey) -> list[ElementKey]:
-        """Posting keys that could match ``key``, superset of true matches.
+        """The posting keys that match ``key``, each once.
 
-        A matching head either contains the query head, and so its rarest
-        token, or is one of the query head's contiguous sub-spans.
+        A node matches the node keys of its matching texts. An edge
+        matches, for each text matching its head, the keys of its relation
+        with that head whose tail matches its tail.
         """
-        is_edge, head = key.is_edge, key.head
-        hints, by_head = self._hints, self._by_head
-        lists = [hints.get((is_edge, token), ()) for token in head]
-        rarest = min(range(len(head)), key=lambda i: len(lists[i]))
-        out = list(lists[rarest])
-        spans = dict.fromkeys(
-            head[i:j] for i in range(len(head)) for j in range(i + 1, len(head) + 1)
-        )
-        for span in spans:
-            # spans holding the rarest token are already in its hint list
-            if head[rarest] not in span:
-                out.extend(by_head.get((is_edge, span), ()))
-        return out
-
-
-def _keys_match(query: ElementKey, candidate: ElementKey) -> bool:
-    if query.is_edge != candidate.is_edge:
-        return False
-    if not query.is_edge:
-        return coreferential(query.head, candidate.head)
-    return (
-        query.relation is candidate.relation
-        and coreferential(query.head, candidate.head)
-        and coreferential(query.tail, candidate.tail)
-    )
+        texts, _, edges = self._lookup
+        heads = self._matching_texts(key.head)
+        if not key.is_edge:
+            nodes = (texts[h] for h in heads)
+            return [k for k in nodes if k is not None]
+        tails = self._matching_texts(key.tail)
+        groups = (edges.get((key.relation, h), ()) for h in heads)
+        return [k for group in groups for k in group if k.tail in tails]
 
 
 # Below this many papers a corpus is graphed in process: forking workers
@@ -219,9 +215,8 @@ def match_element(index: BackgroundIndex, key: ElementKey) -> tuple[PaperRef, ..
     """
     hits: dict[str, int] = {}
     for candidate in index.candidate_keys(key):
-        if _keys_match(key, candidate):
-            for ref in index.postings[candidate]:
-                hits[ref.paper_id] = ref.year
+        for ref in index.postings[candidate]:
+            hits[ref.paper_id] = ref.year
     refs = (PaperRef(p, y) for p, y in hits.items())
     return tuple(sorted(refs, key=lambda r: (-r.year, r.paper_id)))
 
@@ -231,9 +226,9 @@ def tfidf(index: BackgroundIndex, paper_kg: KnowledgeGraph) -> dict[ElementKey, 
 
     tf is the element's mention count over the paper's maximum; an edge
     counts as often as its less-mentioned endpoint. idf is ln(N/df)/ln(N)
-    with df counted through fuzzy matching, so a background "LSTM network"
-    suppresses an "LSTM" query. Elements absent from the background
-    (df == 0) take idf 1.
+    with df counted through containment matching, so a background "LSTM
+    network" suppresses an "LSTM" query. Elements absent from the
+    background (df == 0) take idf 1.
     """
     by_rep = paper_kg.entity_by_representative
     counts = {}
@@ -346,7 +341,7 @@ def load_index(path: str | Path) -> BackgroundIndex:
         raise FormatVersionError(f"{path}: empty index file")
     try:
         header = json.loads(lines[0])
-    except ValueError as exc:  # JSONDecodeError, or an int past int()'s digit limit
+    except (ValueError, RecursionError) as exc:  # bad syntax, huge int, deep nesting
         msg = getattr(exc, "msg", exc)
         raise ParseError(f"{path}: malformed header: {msg}") from exc
     if not isinstance(header, dict) or header.get("format") != _FORMAT_NAME:
@@ -409,12 +404,12 @@ def _load_rows(
             # other line goes to json.loads, which words every error
             try:
                 row, end = _scan_row(line, 0)
-            except (StopIteration, ValueError):
+            except (StopIteration, ValueError, RecursionError):
                 end = -1
             if end != len(line):
                 try:
                     row = json.loads(line)
-                except ValueError as exc:  # as for the header
+                except (ValueError, RecursionError) as exc:  # as for the header
                     msg = getattr(exc, "msg", exc)
                     raise ParseError(f"malformed row: {msg}") from exc
             if not isinstance(row, list):

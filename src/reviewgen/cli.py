@@ -169,10 +169,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = TrainConfig(seed=args.seed, epochs=args.epochs, learning_rate=args.lr)
     papers, bundles, targets = _prepare_labeled(corpus, labels, index, args.cutoff)
 
-    model_dir = Path(args.models)
-    model_dir.mkdir(parents=True, exist_ok=True)
     jobs = []
-    missing = None
     for category in SCOREABLE_CATEGORIES:
         # the vocab counts every labelled paper, scored in this category or not
         sequences = {
@@ -192,11 +189,11 @@ def cmd_train(args: argparse.Namespace) -> int:
             if category in targets[paper_id]
         ]
         if not dataset:
-            missing = ValidationError(
-                f"no labeled examples for category {category.value}"
-            )
-            break
+            raise ValidationError(f"no labeled examples for category {category.value}")
         jobs.append((category, vocab, dataset))
+
+    model_dir = Path(args.models)
+    model_dir.mkdir(parents=True, exist_ok=True)
 
     def fit(job: tuple[Category, Vocab, list[TrainingExample]]) -> list[str]:
         """Train and save one category's model; return its log lines."""
@@ -218,8 +215,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     # lines; sending the parameters back would raise the peak memory
     for lines in fork_map(fit, jobs):
         print("\n".join(lines))
-    if missing is not None:
-        raise missing
     return 0
 
 

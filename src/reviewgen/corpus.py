@@ -190,7 +190,7 @@ def _load_json(path: str | Path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer past int()'s digit limit
+    except (ValueError, RecursionError) as exc:  # a huge integer, or deep nesting
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 

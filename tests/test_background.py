@@ -147,6 +147,38 @@ class TestRestrict:
             assert restrict(wide, year) == build_index(papers, year)
 
 
+# a three-token alphabet, so that repeated tokens and containment chains
+# are common
+SMALL_TEXT = st.lists(st.sampled_from("abc"), min_size=1, max_size=4).map(tuple)
+SMALL_KEYS = st.one_of(
+    SMALL_TEXT.map(ElementKey.node),
+    st.builds(
+        ElementKey.edge,
+        SMALL_TEXT,
+        st.sampled_from([RelationType.USED_FOR, RelationType.COMPARE]),
+        SMALL_TEXT,
+    ),
+)
+
+
+@st.composite
+def small_index_queries(draw) -> tuple[BackgroundIndex, list[ElementKey]]:
+    """A small index, whose edge endpoints need not be node keys, and queries:
+    drawn keys, and sub-spans and superstrings of indexed heads."""
+    papers = [PaperRef(f"P{i}", 2010 + i % 3) for i in range(5)]
+    refs = st.lists(st.sampled_from(papers), min_size=1, max_size=3, unique=True)
+    refs = refs.map(sorted).map(tuple)
+    postings = draw(st.dictionaries(SMALL_KEYS, refs, max_size=20))
+    queries = draw(st.lists(SMALL_KEYS, max_size=6))
+    for _ in range(draw(st.integers(0, 6)) if postings else 0):
+        k = draw(st.sampled_from(sorted(postings, key=ElementKey.sort_key)))
+        i = draw(st.integers(0, len(k.head) - 1))
+        j = draw(st.integers(i + 1, len(k.head)))
+        longer = draw(SMALL_TEXT) + k.head + draw(SMALL_TEXT)
+        queries += [k._replace(head=k.head[i:j]), k._replace(head=longer)]
+    return BackgroundIndex(2018, len(papers), {}, postings), queries
+
+
 class TestMatchElement:
     def test_containment_query(self):
         index = build_index([tiny_paper("A", 2015)], 2018)
@@ -244,7 +276,7 @@ class TestMatchElement:
             truth = [k for k in indexed if oracle_key_match(query, k)]
             candidates = index.candidate_keys(query)
             assert len(candidates) == len(set(candidates))
-            assert set(truth) <= set(candidates)
+            assert set(candidates) == set(truth)
             hits = {ref.paper_id: ref.year for k in truth for ref in index.postings[k]}
             want = tuple(
                 sorted(
@@ -255,6 +287,22 @@ class TestMatchElement:
             assert match_element(index, query) == want
             matched += bool(truth)
         assert matched > len(queries) // 3
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(small_index_queries())
+    def test_small_alphabet_matches_oracle_scan(self, index_queries):
+        index, queries = index_queries
+        for query in queries:
+            truth = [k for k in index.postings if oracle_key_match(query, k)]
+            candidates = index.candidate_keys(query)
+            assert len(candidates) == len(set(candidates))
+            assert set(candidates) == set(truth)
+            hits = {ref.paper_id: ref.year for k in truth for ref in index.postings[k]}
+            want = sorted(
+                (PaperRef(p, y) for p, y in hits.items()),
+                key=lambda r: (-r.year, r.paper_id),
+            )
+            assert match_element(index, query) == tuple(want)
 
     def test_result_ordering(self, corpus, index2018):
         refs = match_element(

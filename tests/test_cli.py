@@ -368,6 +368,44 @@ class TestReview:
         assert result.returncode == 2
 
 
+# 100,000 nested arrays, far past Python's recursion limit
+DEEP = "[" * 100_000
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize("document", ["paper", "labels", "templates"])
+    def test_bad_input(self, trained, tmp_path, document):
+        deep = _write(tmp_path / "deep.json", DEEP)
+        if document == "labels":
+            args = ["evaluate", deep, "--corpus", PAPERS]
+        else:
+            paper = deep if document == "paper" else PAPERS / "P12.json"
+            args = ["review", paper]
+            if document == "templates":
+                args += ["--templates", deep]
+        result = run_cli(
+            *args, "--index", trained["index"], "--models", trained["models"]
+        )
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr and result.stdout == ""
+
+    @pytest.mark.parametrize("artifact", ["index header", "index row", "model"])
+    def test_bad_artifact(self, trained, tmp_path, artifact):
+        index, models = trained["index"], tmp_path / "models"
+        shutil.copytree(trained["models"], models)
+        if artifact == "model":
+            _write(models / "novelty.json", DEEP)
+        else:
+            lines = index.read_text(encoding="utf-8").splitlines()
+            lines[0 if artifact == "index header" else 1] = DEEP
+            index = _write(tmp_path / "bg.json", "\n".join(lines) + "\n")
+        result = run_cli(
+            "review", PAPERS / "P12.json", "--index", index, "--models", models
+        )
+        assert result.returncode == 3, result.stderr
+        assert "Traceback" not in result.stderr and result.stdout == ""
+
+
 class TestUsage:
     def test_no_subcommand(self):
         result = run_cli()
