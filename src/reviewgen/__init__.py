@@ -83,7 +83,6 @@ from reviewgen.kg import (
     TARGET_SCOPE,
     build_kg,
     coreferential,
-    edge_key,
     elements,
     normalize,
     representative_mention,

@@ -33,6 +33,7 @@ from typing import NamedTuple
 from reviewgen.corpus import (
     _RELATION_BY_VALUE,
     PaperRecord,
+    _check_keys,
     _check_unique_ids,
     _read_text,
     _write_atomic,
@@ -55,6 +56,9 @@ from reviewgen.parallel import fork_map
 
 _FORMAT_NAME = "reviewgen-background-index"
 _FORMAT_VERSION = 1
+_HEADER_KEYS = frozenset(
+    {"format", "version", "cutoff_year", "n_papers", "year_counts", "num_keys"}
+)
 
 # json.loads's own value scanner, called on each index row at offset 0
 _scan_row = make_scanner(json.JSONDecoder())
@@ -320,8 +324,9 @@ def load_index(path: str | Path) -> BackgroundIndex:
     Besides its syntax, a file must keep what ``build_index`` guarantees:
     one year per paper, every posting year in ``year_counts``, each row's
     refs sorted and unique, and no more distinct papers than ``n_papers``.
-    The header's ``cutoff_year``, ``n_papers``, ``num_keys`` and counts are
-    JSON integers, and each ``year_counts`` key is an integer written plainly.
+    The header holds only the keys ``save_index`` writes. Its ``cutoff_year``,
+    ``n_papers``, ``num_keys`` and counts are JSON integers, and each
+    ``year_counts`` key is an integer written plainly.
 
     Each key line is parsed by json's C scanner (``json.scanner.make_scanner``)
     from its first character, and the value is taken only when it ends the
@@ -350,10 +355,11 @@ def load_index(path: str | Path) -> BackgroundIndex:
         raise FormatVersionError(
             f"{path}: unsupported version {header.get('version')!r}"
         )
+    _check_keys(header, _HEADER_KEYS, set(), f"{path}: header")
     try:
         cutoff_year, n_papers = header["cutoff_year"], header["n_papers"]
         year_counts = {int(y): c for y, c in header["year_counts"].items()}
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+    except (TypeError, AttributeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed header fields: {exc}") from exc
     for name, value in (("cutoff_year", cutoff_year), ("n_papers", n_papers)):
         if type(value) is not int:
@@ -366,7 +372,7 @@ def load_index(path: str | Path) -> BackgroundIndex:
             raise ParseError(f"{path}: bad year count {year}: {count!r}")
     if n_papers != sum(year_counts.values()):
         raise ParseError(f"{path}: n_papers {n_papers} is not the sum of year_counts")
-    num_keys = header.get("num_keys")
+    num_keys = header["num_keys"]
     if type(num_keys) is not int:
         raise ParseError(f"{path}: num_keys must be an integer, got {num_keys!r}")
     body = lines[1:]

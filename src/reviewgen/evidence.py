@@ -90,7 +90,7 @@ def extract_summary(gp: KnowledgeGraph) -> KnowledgeGraph:
     """Subgraph of the four describable relation types and their endpoints."""
     edges = tuple(e for e in gp.edges if e.relation in SUMMARY_RELATIONS)
     keep = {e.head for e in edges} | {e.tail for e in edges}
-    entities = tuple(e for e in gp.entities if e.entity_id in keep)
+    entities = tuple(e for e in gp.entities if e.representative in keep)
     return KnowledgeGraph(gp.paper_id, gp.scope, entities, edges)
 
 

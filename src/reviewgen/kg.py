@@ -6,6 +6,8 @@ longest informative one), clusters whose representatives contain one
 another are merged transitively, and relation annotations are remapped to
 the merged entities. Each mention is normalized once per graph, and only
 clusters whose representatives share a token are compared for merging.
+Equal representatives are coreferential, so the representative names an
+entity uniquely within its graph, and edges name their endpoints by it.
 Graphs compare across papers through ``ElementKey`` values: one key per
 entity node, one per relation edge.
 """
@@ -103,12 +105,6 @@ class ElementKey(NamedTuple):
     def node(cls, representative: NormalizedString) -> "ElementKey":
         return cls(tuple(representative))
 
-    @classmethod
-    def edge(
-        cls, head: NormalizedString, relation: RelationType, tail: NormalizedString
-    ) -> "ElementKey":
-        return cls(tuple(head), relation, tuple(tail))
-
     @property
     def is_edge(self) -> bool:
         return self.relation is not None
@@ -131,8 +127,6 @@ class ElementKey(NamedTuple):
 class Entity:
     """A merged mention cluster with its representative form."""
 
-    entity_id: int
-    paper_id: str
     mentions: tuple[Mention, ...]
     representative: NormalizedString
     rep_surface: str
@@ -141,10 +135,16 @@ class Entity:
 
 @dataclass(frozen=True)
 class Edge:
-    head: int
-    tail: int
+    """A relation between two entities, named by their representatives."""
+
+    head: NormalizedString
+    tail: NormalizedString
     relation: RelationType
     provenance: tuple[SectionKind, int]
+
+    @property
+    def key(self) -> ElementKey:
+        return ElementKey(self.head, self.relation, self.tail)
 
 
 @dataclass(frozen=True)
@@ -153,15 +153,6 @@ class KnowledgeGraph:
     scope: frozenset[SectionKind]
     entities: tuple[Entity, ...]
     edges: tuple[Edge, ...]
-
-    @cached_property
-    def _entities_by_id(self) -> dict[int, Entity]:
-        return {e.entity_id: e for e in self.entities}
-
-    def entity(self, entity_id: int) -> Entity:
-        # ids equal positions in a freshly built graph but not in a
-        # subgraph, so always resolve through the id map
-        return self._entities_by_id[entity_id]
 
     @cached_property
     def entity_by_representative(self) -> dict[NormalizedString, Entity]:
@@ -284,23 +275,21 @@ def build_kg(paper: PaperRecord, scope: set[SectionKind]) -> KnowledgeGraph:
 
     entities = tuple(
         Entity(
-            entity_id=i,
-            paper_id=paper.paper_id,
             mentions=tuple(mentions),
             representative=rep,
             rep_surface=surface,
             entity_type=_entity_type_of(mentions),
         )
-        for i, (rep, surface, mentions) in enumerate(merged_entities)
+        for rep, surface, mentions in merged_entities
     )
 
-    entity_of_mention: dict[int, int] = {}
+    entity_of_mention: dict[int, NormalizedString] = {}
     for entity in entities:
         for m in entity.mentions:
-            entity_of_mention[m.mention_id] = entity.entity_id
+            entity_of_mention[m.mention_id] = entity.representative
 
     edges = []
-    seen_triples: set[tuple[int, RelationType, int]] = set()
+    seen_triples: set[tuple[NormalizedString, RelationType, NormalizedString]] = set()
     for rel in paper.annotations.relations:
         if rel.section not in scope:
             continue
@@ -320,14 +309,6 @@ def build_kg(paper: PaperRecord, scope: set[SectionKind]) -> KnowledgeGraph:
 def elements(kg: KnowledgeGraph) -> list[ElementKey]:
     """All knowledge elements of a graph, sorted by the key total order."""
     keys = [ElementKey.node(e.representative) for e in kg.entities]
-    keys.extend(edge_key(kg, e) for e in kg.edges)
+    keys.extend(e.key for e in kg.edges)
     keys.sort(key=ElementKey.sort_key)
     return keys
-
-
-def edge_key(kg: KnowledgeGraph, edge: Edge) -> ElementKey:
-    return ElementKey.edge(
-        kg.entity(edge.head).representative,
-        edge.relation,
-        kg.entity(edge.tail).representative,
-    )

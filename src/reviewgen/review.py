@@ -39,7 +39,6 @@ from reviewgen.kg import (
     ElementKey,
     KnowledgeGraph,
     NormalizedString,
-    edge_key,
 )
 from reviewgen.scoring.train import ScoreReport
 
@@ -249,8 +248,8 @@ def realize_relation(
         raise UnsupportedRelationError(
             f"no phrase for relation {edge.relation.value!r}"
         )
-    head = graph.entity(edge.head).rep_surface
-    tail = graph.entity(edge.tail).rep_surface
+    head = graph.entity_by_representative[edge.head].rep_surface
+    tail = graph.entity_by_representative[edge.tail].rep_surface
     return string.Template(phrases[edge.relation]).substitute(HEAD=head, TAIL=tail)
 
 
@@ -258,7 +257,7 @@ def generate_summary(
     summary: KnowledgeGraph, overall_score: int, templates: TemplateSet
 ) -> list[str]:
     """Summary comment controlled by the overall recommendation score."""
-    edges = sorted(summary.edges, key=lambda e: edge_key(summary, e).sort_key())
+    edges = sorted(summary.edges, key=lambda e: e.key.sort_key())
     realized = [
         realize_relation(e, summary, templates.relation_phrases)
         for e in edges[:MAX_RELATION_SENTENCES]

@@ -22,6 +22,7 @@ from reviewgen.corpus import (
     Category,
     PaperRecord,
     SCOREABLE_CATEGORIES,
+    _check_keys,
     _load_json,
     _write_atomic,
 )
@@ -53,6 +54,8 @@ CLIP_NORM = 5.0  # global gradient-norm ceiling per step
 
 MODEL_FORMAT = "reviewgen-score-model"
 MODEL_VERSION = 2
+_MODEL_KEYS = frozenset({"format", "version", "max_seq_len", "vocab", "params"})
+_PARAM_NAMES = frozenset(f.name for f in fields(ModelParams))
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,12 +230,18 @@ def _encode_array(arr: np.ndarray) -> dict:
 
 
 def _decode_array(obj: dict, name: str) -> np.ndarray:
+    _check_keys(obj, {"shape", "data"}, set(), f"model tensor {name!r}")
+    shape = obj["shape"]
+    if type(shape) is not list or not all(type(s) is int and s >= 0 for s in shape):
+        raise ParseError(
+            f"model tensor {name!r}: shape must be a list of non-negative "
+            f"integers, got {shape!r}"
+        )
     try:
-        shape = tuple(int(s) for s in obj["shape"])
         raw = base64.b64decode(obj["data"], validate=True)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"model tensor {name!r} is malformed: {exc}") from exc
-    expected = int(np.prod(shape)) * 8
+    expected = math.prod(shape) * 8
     if len(raw) != expected:
         raise ParseError(
             f"model tensor {name!r}: {len(raw)} bytes, expected {expected}"
@@ -267,10 +276,12 @@ def load_model(path: str | Path) -> ScoreModel:
         raise FormatVersionError(
             f"unsupported model version {payload.get('version')!r}"
         )
+    _check_keys(payload, _MODEL_KEYS, set(), f"model file {path}")
+    raw_params = payload["params"]
+    _check_keys(raw_params, _PARAM_NAMES, set(), f"model file {path}: params")
     try:
         max_seq_len = payload["max_seq_len"]
         vocab = Vocab.from_list(payload["vocab"])
-        raw_params = payload["params"]
         arrays = {
             f.name: _decode_array(raw_params[f.name], f.name)
             for f in fields(ModelParams)

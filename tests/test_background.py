@@ -153,7 +153,7 @@ SMALL_TEXT = st.lists(st.sampled_from("abc"), min_size=1, max_size=4).map(tuple)
 SMALL_KEYS = st.one_of(
     SMALL_TEXT.map(ElementKey.node),
     st.builds(
-        ElementKey.edge,
+        ElementKey,
         SMALL_TEXT,
         st.sampled_from([RelationType.USED_FOR, RelationType.COMPARE]),
         SMALL_TEXT,
@@ -196,11 +196,11 @@ class TestMatchElement:
         index = build_index([tiny_paper("A", 2015)], 2018)
         hit = match_element(
             index,
-            ElementKey.edge(("cnn",), RelationType.USED_FOR, ("tagging",)),
+            ElementKey(("cnn",), RelationType.USED_FOR, ("tagging",)),
         )
         miss = match_element(
             index,
-            ElementKey.edge(("cnn",), RelationType.COMPARE, ("tagging",)),
+            ElementKey(("cnn",), RelationType.COMPARE, ("tagging",)),
         )
         assert len(hit) == 1 and miss == ()
 
@@ -243,7 +243,7 @@ class TestMatchElement:
         def key(max_len):
             if rng.random() < 0.6:
                 return ElementKey.node(head(max_len))
-            return ElementKey.edge(head(max_len), rng.choice(relations), head(3))
+            return ElementKey(head(max_len), rng.choice(relations), head(3))
 
         papers = [PaperRef(f"P{i:03d}", 2000 + i % 15) for i in range(60)]
         keys = {key(4) for _ in range(600)}
@@ -382,7 +382,7 @@ class TestTfidf:
         from reviewgen.corpus import RelationType
 
         gp = build_kg(papers["P12"], TARGET_SCOPE)
-        key = ElementKey.edge(
+        key = ElementKey(
             ("cross-lingual", "pivot", "loss"),
             RelationType.USED_FOR,
             ("dual", "decoder", "fusion"),
@@ -718,7 +718,7 @@ AWKWARD_TEXT = st.text(
 )
 TOKENS = st.lists(AWKWARD_TEXT, min_size=1, max_size=3).map(tuple)
 ELEMENT_KEYS = TOKENS.map(ElementKey.node) | st.builds(
-    ElementKey.edge, TOKENS, st.sampled_from(list(RelationType)), TOKENS
+    ElementKey, TOKENS, st.sampled_from(list(RelationType)), TOKENS
 )
 
 

@@ -291,12 +291,16 @@ class TestReview:
         assert result.returncode == 3
         assert "Traceback" not in result.stderr
 
-    @pytest.mark.parametrize("mutation", ["string year count", "n_papers too high"])
+    @pytest.mark.parametrize(
+        "mutation", ["string year count", "n_papers too high", "unknown key"]
+    )
     def test_bad_index_header_is_artifact_error(self, trained, tmp_path, mutation):
         lines = trained["index"].read_text(encoding="utf-8").splitlines(keepends=True)
         header = json.loads(lines[0])
         if mutation == "string year count":
             header["year_counts"] = {y: str(c) for y, c in header["year_counts"].items()}
+        elif mutation == "unknown key":
+            header["scope"] = "target"
         else:
             header["n_papers"] += 100
         lines[0] = json.dumps(header) + "\n"
@@ -308,7 +312,7 @@ class TestReview:
             "--models", trained["models"],
         )
         assert result.returncode == 3
-        assert "Traceback" not in result.stderr
+        assert "Traceback" not in result.stderr and result.stdout == ""
 
     @pytest.mark.parametrize(
         "mutation",
@@ -320,6 +324,12 @@ class TestReview:
             "vocab longer than embed",
             "flat embed",
             "seven classes",
+            "string shape entry",
+            "float shape entry",
+            "string shape",
+            "unknown key",
+            "unknown tensor",
+            "unknown tensor field",
         ],
     )
     def test_bad_model_is_artifact_error(self, trained, tmp_path, mutation):
@@ -338,6 +348,18 @@ class TestReview:
         elif mutation == "flat embed":
             shape = payload["params"]["embed"]["shape"]
             payload["params"]["embed"]["shape"] = [shape[0] * shape[1]]
+        elif mutation == "string shape entry":  # b_out has shape [5]
+            payload["params"]["b_out"]["shape"] = ["5"]
+        elif mutation == "float shape entry":
+            payload["params"]["b_out"]["shape"] = [5.7]
+        elif mutation == "string shape":
+            payload["params"]["b_out"]["shape"] = "5"
+        elif mutation == "unknown key":
+            payload["min_count"] = 1
+        elif mutation == "unknown tensor":
+            payload["params"]["w_z"] = payload["params"]["b_out"]
+        elif mutation == "unknown tensor field":
+            payload["params"]["b_out"]["dtype"] = "<f8"
         elif mutation == "seven classes":
             for name in ("w_out", "b_out"):  # repeat the first two class rows
                 tensor = payload["params"][name]

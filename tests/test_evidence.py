@@ -27,7 +27,6 @@ from reviewgen.kg import (
     TARGET_SCOPE,
     ElementKey,
     build_kg,
-    edge_key,
     elements,
 )
 
@@ -103,7 +102,7 @@ class TestExtractSummary:
             f"\t{e.entity_type.value}"
             for e in summary.entities
         ]
-        lines += [str(edge_key(summary, e)) for e in summary.edges]
+        lines += [str(e.key) for e in summary.edges]
         assert "".join(f"{line}\n" for line in lines) == golden("p03_summary.txt")
 
 

@@ -217,9 +217,9 @@ class TestBuildKg:
 
         gp = build_kg(papers["P12"], TARGET_SCOPE)
         summary = extract_summary(gp)
-        for edge in summary.edges:
-            assert summary.entity(edge.head).entity_id == edge.head
-            assert summary.entity(edge.tail).entity_id == edge.tail
+        endpoints = {r for e in summary.edges for r in (e.head, e.tail)}
+        assert summary.edges
+        assert {e.representative for e in summary.entities} == endpoints
 
     def test_merged_entity_type_majority(self, papers):
         gp = build_kg(papers["P12"], TARGET_SCOPE)
@@ -317,6 +317,12 @@ class TestMergeClosureOracle:
             for i in range(len(reps)):
                 for j in range(i + 1, len(reps)):
                     assert not coreferential(reps[i], reps[j]), (reps[i], reps[j])
+            # edges name their endpoints by representative, which is
+            # sound only while representatives are unique
+            unique = set(reps)
+            assert len(unique) == len(reps)
+            for edge in kg.edges:
+                assert {edge.head, edge.tail} <= unique
 
     def test_entity_count_bounded_by_cluster_count(self):
         rng = random.Random(6)
@@ -393,7 +399,7 @@ class TestElements:
 
 class TestElementKey:
     NODE = ElementKey.node(["neural", "network"])
-    EDGE = ElementKey.edge(("cnn",), RelationType.USED_FOR, ("tagging",))
+    EDGE = ElementKey(("cnn",), RelationType.USED_FOR, ("tagging",))
 
     def test_constructors_fill_the_fields(self):
         assert self.NODE == ElementKey(("neural", "network"), None, None)
@@ -404,7 +410,7 @@ class TestElementKey:
         assert self.EDGE.is_edge
 
     def test_equal_keys_hash_equal(self):
-        twin = ElementKey.edge(["cnn"], RelationType.USED_FOR, ["tagging"])
+        twin = ElementKey(("cnn",), RelationType.USED_FOR, ("tagging",))
         assert twin == self.EDGE and hash(twin) == hash(self.EDGE)
         assert len({self.NODE, self.EDGE, twin, ElementKey.node(("neural", "network"))}) == 2
 
@@ -412,9 +418,9 @@ class TestElementKey:
         "other",
         [
             ElementKey.node(("neural",)),
-            ElementKey.edge(("cnn",), RelationType.COMPARE, ("tagging",)),
-            ElementKey.edge(("cnn",), RelationType.USED_FOR, ("parsing",)),
-            ElementKey.edge(("tagging",), RelationType.USED_FOR, ("cnn",)),
+            ElementKey(("cnn",), RelationType.COMPARE, ("tagging",)),
+            ElementKey(("cnn",), RelationType.USED_FOR, ("parsing",)),
+            ElementKey(("tagging",), RelationType.USED_FOR, ("cnn",)),
         ],
     )
     def test_any_field_tells_keys_apart(self, other):
@@ -422,9 +428,9 @@ class TestElementKey:
 
     def test_sort_key_puts_nodes_first_then_head_relation_tail(self):
         keys = [
-            ElementKey.edge(("a",), RelationType.USED_FOR, ("b",)),
-            ElementKey.edge(("a",), RelationType.COMPARE, ("c",)),
-            ElementKey.edge(("a",), RelationType.COMPARE, ("b",)),
+            ElementKey(("a",), RelationType.USED_FOR, ("b",)),
+            ElementKey(("a",), RelationType.COMPARE, ("c",)),
+            ElementKey(("a",), RelationType.COMPARE, ("b",)),
             ElementKey.node(("z",)),
             ElementKey.node(("a", "b")),
             ElementKey.node(("a",)),

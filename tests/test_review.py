@@ -227,7 +227,7 @@ class TestElementText:
         assert element_text(ElementKey.node(("gated", "unit")), {}) == "gated unit"
 
     def test_edge_gloss(self):
-        key = ElementKey.edge(("crf",), RelationType.USED_FOR, ("ner",))
+        key = ElementKey(("crf",), RelationType.USED_FOR, ("ner",))
         text = element_text(key, {("crf",): "CRF", ("ner",): "NER"})
         assert text == "CRF used for NER"
 

@@ -305,6 +305,8 @@ class TestPersistence:
         path = tmp_path / "m.json"
         save_model(model, path)
         payload = json.loads(path.read_text(encoding="utf-8"))
+        # a tensor this version never writes: the version is still reported
+        payload["params"]["w_z"] = payload["params"]["b_out"]
         for version in (99, 1):  # 1: the per-gate tensors before stacking
             payload["version"] = version
             path.write_text(json.dumps(payload), encoding="utf-8")

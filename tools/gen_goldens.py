@@ -26,7 +26,6 @@ from reviewgen import (
     extract_summary,
     load_corpus,
 )
-from reviewgen.kg import edge_key
 
 RECIPE = {"cutoff": 2018, "epochs": 4, "seed": 0}
 
@@ -65,7 +64,7 @@ def main() -> int:
         f"entity\t{' '.join(e.representative)}\t{e.rep_surface}\t{e.entity_type.value}"
         for e in p03_summary.entities
     ]
-    lines += [str(edge_key(p03_summary, e)) for e in p03_summary.edges]
+    lines += [str(e.key) for e in p03_summary.edges]
     (GOLDEN / "p03_summary.txt").write_text(
         "".join(f"{line}\n" for line in lines), encoding="utf-8"
     )
