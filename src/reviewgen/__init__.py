@@ -75,7 +75,6 @@ from reviewgen.evidence import (
     recommend_related,
 )
 from reviewgen.kg import (
-    Edge,
     ElementKey,
     Entity,
     KnowledgeGraph,

@@ -351,10 +351,9 @@ def load_index(path: str | Path) -> BackgroundIndex:
         raise ParseError(f"{path}: malformed header: {msg}") from exc
     if not isinstance(header, dict) or header.get("format") != _FORMAT_NAME:
         raise FormatVersionError(f"{path}: not a background index file")
-    if header.get("version") != _FORMAT_VERSION:
-        raise FormatVersionError(
-            f"{path}: unsupported version {header.get('version')!r}"
-        )
+    version = header.get("version")
+    if type(version) is not int or version != _FORMAT_VERSION:
+        raise FormatVersionError(f"{path}: unsupported version {version!r}")
     _check_keys(header, _HEADER_KEYS, set(), f"{path}: header")
     try:
         cutoff_year, n_papers = header["cutoff_year"], header["n_papers"]

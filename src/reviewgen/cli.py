@@ -163,10 +163,10 @@ def _prepare_labeled(
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    config = TrainConfig(seed=args.seed, epochs=args.epochs, learning_rate=args.lr)
     corpus = load_corpus(args.corpus)
     labels = _load_labels(args.labels)
     index = _load_artifact(load_index, args.index)
-    config = TrainConfig(seed=args.seed, epochs=args.epochs, learning_rate=args.lr)
     papers, bundles, targets = _prepare_labeled(corpus, labels, index, args.cutoff)
 
     jobs = []

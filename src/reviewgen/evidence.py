@@ -91,7 +91,7 @@ def extract_summary(gp: KnowledgeGraph) -> KnowledgeGraph:
     edges = tuple(e for e in gp.edges if e.relation in SUMMARY_RELATIONS)
     keep = {e.head for e in edges} | {e.tail for e in edges}
     entities = tuple(e for e in gp.entities if e.representative in keep)
-    return KnowledgeGraph(gp.paper_id, gp.scope, entities, edges)
+    return KnowledgeGraph(entities, edges)
 
 
 def _novelty_candidates(gp: KnowledgeGraph) -> list[ElementKey]:

@@ -7,9 +7,9 @@ another are merged transitively, and relation annotations are remapped to
 the merged entities. Each mention is normalized once per graph, and only
 clusters whose representatives share a token are compared for merging.
 Equal representatives are coreferential, so the representative names an
-entity uniquely within its graph, and edges name their endpoints by it.
-Graphs compare across papers through ``ElementKey`` values: one key per
-entity node, one per relation edge.
+entity uniquely within its graph. A graph's edges are ``ElementKey``
+values naming their endpoints by it, and graphs compare across papers
+through those keys: one per entity node, one per relation edge.
 """
 
 from __future__ import annotations
@@ -101,10 +101,6 @@ class ElementKey(NamedTuple):
     relation: RelationType | None = None
     tail: NormalizedString | None = None
 
-    @classmethod
-    def node(cls, representative: NormalizedString) -> "ElementKey":
-        return cls(tuple(representative))
-
     @property
     def is_edge(self) -> bool:
         return self.relation is not None
@@ -134,25 +130,9 @@ class Entity:
 
 
 @dataclass(frozen=True)
-class Edge:
-    """A relation between two entities, named by their representatives."""
-
-    head: NormalizedString
-    tail: NormalizedString
-    relation: RelationType
-    provenance: tuple[SectionKind, int]
-
-    @property
-    def key(self) -> ElementKey:
-        return ElementKey(self.head, self.relation, self.tail)
-
-
-@dataclass(frozen=True)
 class KnowledgeGraph:
-    paper_id: str
-    scope: frozenset[SectionKind]
     entities: tuple[Entity, ...]
-    edges: tuple[Edge, ...]
+    edges: tuple[ElementKey, ...]  # edge keys, in annotation order
 
     @cached_property
     def entity_by_representative(self) -> dict[NormalizedString, Entity]:
@@ -203,12 +183,11 @@ def build_kg(paper: PaperRecord, scope: set[SectionKind]) -> KnowledgeGraph:
     and clusters are merged to the representative-containment fixed
     point. Only groups whose representatives share a token are compared,
     since containment implies a shared token. Relations are remapped to
-    merged entities, with self-loops dropped and duplicate (head,
-    relation, tail) triples collapsed onto their first provenance.
+    merged entities, with self-loops dropped; each edge key keeps the
+    position of its first relation annotation.
     """
     if not scope:
         raise ValueError("scope must be non-empty")
-    scope = frozenset(scope)
 
     by_id = {m.mention_id: m for m in paper.annotations.mentions}
     # each in-scope mention's normalized surface, computed once per call
@@ -288,8 +267,7 @@ def build_kg(paper: PaperRecord, scope: set[SectionKind]) -> KnowledgeGraph:
         for m in entity.mentions:
             entity_of_mention[m.mention_id] = entity.representative
 
-    edges = []
-    seen_triples: set[tuple[NormalizedString, RelationType, NormalizedString]] = set()
+    edges: dict[ElementKey, None] = {}  # ordered set: first position wins
     for rel in paper.annotations.relations:
         if rel.section not in scope:
             continue
@@ -297,18 +275,14 @@ def build_kg(paper: PaperRecord, scope: set[SectionKind]) -> KnowledgeGraph:
         tail = entity_of_mention.get(rel.tail_id)
         if head is None or tail is None or head == tail:
             continue
-        triple = (head, rel.relation, tail)
-        if triple in seen_triples:
-            continue
-        seen_triples.add(triple)
-        edges.append(Edge(head, tail, rel.relation, (rel.section, rel.sentence_index)))
+        edges[ElementKey(head, rel.relation, tail)] = None
 
-    return KnowledgeGraph(paper.paper_id, scope, entities, tuple(edges))
+    return KnowledgeGraph(entities, tuple(edges))
 
 
 def elements(kg: KnowledgeGraph) -> list[ElementKey]:
     """All knowledge elements of a graph, sorted by the key total order."""
-    keys = [ElementKey.node(e.representative) for e in kg.entities]
-    keys.extend(e.key for e in kg.edges)
+    keys = [ElementKey(e.representative) for e in kg.entities]
+    keys.extend(kg.edges)
     keys.sort(key=ElementKey.sort_key)
     return keys

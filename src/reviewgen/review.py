@@ -35,7 +35,6 @@ from reviewgen.evidence import (
     recommend_related,
 )
 from reviewgen.kg import (
-    Edge,
     ElementKey,
     KnowledgeGraph,
     NormalizedString,
@@ -241,7 +240,7 @@ def element_text(key: ElementKey, surfaces: Mapping[NormalizedString, str]) -> s
 
 
 def realize_relation(
-    edge: Edge, graph: KnowledgeGraph, phrases: Mapping[RelationType, str]
+    edge: ElementKey, graph: KnowledgeGraph, phrases: Mapping[RelationType, str]
 ) -> str:
     """One sentence for one edge, HEAD/TAIL filled with entity surfaces."""
     if edge.relation not in phrases:
@@ -257,7 +256,7 @@ def generate_summary(
     summary: KnowledgeGraph, overall_score: int, templates: TemplateSet
 ) -> list[str]:
     """Summary comment controlled by the overall recommendation score."""
-    edges = sorted(summary.edges, key=lambda e: e.key.sort_key())
+    edges = sorted(summary.edges, key=ElementKey.sort_key)
     realized = [
         realize_relation(e, summary, templates.relation_phrases)
         for e in edges[:MAX_RELATION_SENTENCES]

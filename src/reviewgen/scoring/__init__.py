@@ -40,38 +40,3 @@ from reviewgen.scoring.vocab import (
     UNK_TOKEN,
     Vocab,
 )
-
-__all__ = [
-    "CategoryScore",
-    "EvalMetrics",
-    "ModelParams",
-    "NUM_SCORE_CLASSES",
-    "PAD_INDEX",
-    "PAD_TOKEN",
-    "PROB_FLOOR",
-    "ScoreModel",
-    "ScoreReport",
-    "SEP_INDEX",
-    "SEP_TOKEN",
-    "TrainConfig",
-    "TrainingExample",
-    "UNK_INDEX",
-    "UNK_TOKEN",
-    "Vocab",
-    "backward",
-    "category_sentences",
-    "evaluate",
-    "finite_difference_grads",
-    "forward",
-    "forward_trace",
-    "gradient_check",
-    "init_params",
-    "load_model",
-    "loss",
-    "max_relative_error",
-    "predict_scores",
-    "save_model",
-    "sigmoid",
-    "softmax",
-    "train",
-]

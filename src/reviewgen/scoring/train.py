@@ -272,10 +272,9 @@ def load_model(path: str | Path) -> ScoreModel:
     payload = _load_json(path)
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise FormatVersionError(f"{path} is not a score-model file")
-    if payload.get("version") != MODEL_VERSION:
-        raise FormatVersionError(
-            f"unsupported model version {payload.get('version')!r}"
-        )
+    version = payload.get("version")
+    if type(version) is not int or version != MODEL_VERSION:
+        raise FormatVersionError(f"unsupported model version {version!r}")
     _check_keys(payload, _MODEL_KEYS, set(), f"model file {path}")
     raw_params = payload["params"]
     _check_keys(raw_params, _PARAM_NAMES, set(), f"model file {path}: params")

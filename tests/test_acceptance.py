@@ -189,7 +189,7 @@ def test_criterion_05_tfidf_oracle():
     from reviewgen.background import BackgroundIndex, PaperRef
 
     rng = random.Random(5)
-    key = ElementKey.node(("alpha", "beta"))
+    key = ElementKey(("alpha", "beta"))
     for case in range(1000):
         n = rng.randint(1, 500)
         df = rng.randint(0, n)

@@ -151,7 +151,7 @@ class TestRestrict:
 # are common
 SMALL_TEXT = st.lists(st.sampled_from("abc"), min_size=1, max_size=4).map(tuple)
 SMALL_KEYS = st.one_of(
-    SMALL_TEXT.map(ElementKey.node),
+    SMALL_TEXT.map(ElementKey),
     st.builds(
         ElementKey,
         SMALL_TEXT,
@@ -183,12 +183,12 @@ class TestMatchElement:
     def test_containment_query(self):
         index = build_index([tiny_paper("A", 2015)], 2018)
         # "cnn" is indexed; a longer query containing it matches
-        refs = match_element(index, ElementKey.node(("deep", "cnn")))
+        refs = match_element(index, ElementKey(("deep", "cnn")))
         assert [ref.paper_id for ref in refs] == ["A"]
 
     def test_empty_index(self):
         index = build_index([], 2018)
-        assert match_element(index, ElementKey.node(("anything",))) == ()
+        assert match_element(index, ElementKey(("anything",))) == ()
 
     def test_edge_requires_same_relation(self):
         from reviewgen.corpus import RelationType
@@ -242,13 +242,13 @@ class TestMatchElement:
 
         def key(max_len):
             if rng.random() < 0.6:
-                return ElementKey.node(head(max_len))
+                return ElementKey(head(max_len))
             return ElementKey(head(max_len), rng.choice(relations), head(3))
 
         papers = [PaperRef(f"P{i:03d}", 2000 + i % 15) for i in range(60)]
         keys = {key(4) for _ in range(600)}
         keys |= {
-            ElementKey.node(h)
+            ElementKey(h)
             for h in [("a",), ("b", "a"), ("a", "b", "a"), ("a", "b", "a", "b")]
         }
         index = BackgroundIndex(
@@ -262,7 +262,7 @@ class TestMatchElement:
         )
         indexed = list(index.postings)
         queries = [key(7) for _ in range(300)]
-        queries += [ElementKey.node(h) for h in [("a",), ("a", "b", "a"), ("b", "a", "b")]]
+        queries += [ElementKey(h) for h in [("a",), ("a", "b", "a"), ("b", "a", "b")]]
         # sub-spans and superstrings of indexed heads, so that most queries match
         for k in rng.sample(indexed, 100):
             i = rng.randrange(len(k.head))
@@ -306,7 +306,7 @@ class TestMatchElement:
 
     def test_result_ordering(self, corpus, index2018):
         refs = match_element(
-            index2018, ElementKey.node(("neural", "machine", "translation"))
+            index2018, ElementKey(("neural", "machine", "translation"))
         )
         assert [ref.paper_id for ref in refs] == ["P08", "P05", "P01"]
         years = [ref.year for ref in refs]
@@ -349,24 +349,24 @@ class TestTfidf:
 
     def test_absent_most_mentioned_scores_one(self):
         kg = self.build_graph({"alpha beta": 3, "gamma delta": 1})
-        index = self.index_with(10, ElementKey.node(("other",)), 0)
-        assert tfidf(index, kg)[ElementKey.node(("alpha", "beta"))] == 1.0
+        index = self.index_with(10, ElementKey(("other",)), 0)
+        assert tfidf(index, kg)[ElementKey(("alpha", "beta"))] == 1.0
 
     def test_df_equal_n_scores_zero(self):
-        key = ElementKey.node(("alpha", "beta"))
+        key = ElementKey(("alpha", "beta"))
         kg = self.build_graph({"alpha beta": 2})
         index = self.index_with(5, key, 5)
         assert tfidf(index, kg)[key] == 0.0
 
     def test_half_tf_unit_idf(self):
-        key = ElementKey.node(("alpha", "beta"))
+        key = ElementKey(("alpha", "beta"))
         kg = self.build_graph({"alpha beta": 1, "gamma delta": 2})
         index = self.index_with(4, key, 1)
         assert tfidf(index, kg)[key] == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_scalar_oracle(self):
         rng = random.Random(99)
-        key = ElementKey.node(("alpha", "beta"))
+        key = ElementKey(("alpha", "beta"))
         for _ in range(200):
             n = rng.randint(1, 300)
             df = rng.randint(0, n)
@@ -717,7 +717,7 @@ AWKWARD_TEXT = st.text(
     max_size=6,
 )
 TOKENS = st.lists(AWKWARD_TEXT, min_size=1, max_size=3).map(tuple)
-ELEMENT_KEYS = TOKENS.map(ElementKey.node) | st.builds(
+ELEMENT_KEYS = TOKENS.map(ElementKey) | st.builds(
     ElementKey, TOKENS, st.sampled_from(list(RelationType)), TOKENS
 )
 

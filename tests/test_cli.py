@@ -292,7 +292,14 @@ class TestReview:
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize(
-        "mutation", ["string year count", "n_papers too high", "unknown key"]
+        "mutation",
+        [
+            "string year count",
+            "n_papers too high",
+            "unknown key",
+            "true version",
+            "float version",
+        ],
     )
     def test_bad_index_header_is_artifact_error(self, trained, tmp_path, mutation):
         lines = trained["index"].read_text(encoding="utf-8").splitlines(keepends=True)
@@ -301,6 +308,10 @@ class TestReview:
             header["year_counts"] = {y: str(c) for y, c in header["year_counts"].items()}
         elif mutation == "unknown key":
             header["scope"] = "target"
+        elif mutation == "true version":  # the index format is version 1
+            header["version"] = True
+        elif mutation == "float version":
+            header["version"] = 1.0
         else:
             header["n_papers"] += 100
         lines[0] = json.dumps(header) + "\n"
@@ -330,6 +341,7 @@ class TestReview:
             "unknown key",
             "unknown tensor",
             "unknown tensor field",
+            "float version",
         ],
     )
     def test_bad_model_is_artifact_error(self, trained, tmp_path, mutation):
@@ -360,6 +372,8 @@ class TestReview:
             payload["params"]["w_z"] = payload["params"]["b_out"]
         elif mutation == "unknown tensor field":
             payload["params"]["b_out"]["dtype"] = "<f8"
+        elif mutation == "float version":  # the model format is version 2
+            payload["version"] = 2.0
         elif mutation == "seven classes":
             for name in ("w_out", "b_out"):  # repeat the first two class rows
                 tensor = payload["params"][name]
@@ -511,7 +525,11 @@ EXIT_CASES = {
     "train negative learning rate": (2, lambda t, d: [
         "train", LABELS, "--corpus", PAPERS, "--index", t["index"],
         "--models", d / "m", "--lr", "-1", "--epochs", "1"]),
+    "train negative seed": (2, lambda t, d: [
+        "train", LABELS, "--corpus", PAPERS, "--index", t["index"],
+        "--models", d / "m", "--seed", "-1", "--epochs", "1"]),
     "grad-check two dims": (2, lambda t, d: ["grad-check", "--dims", "1,2"]),
+    "grad-check negative seed": (2, lambda t, d: ["grad-check", "--seed", "-1"]),
     "index output in a missing directory": (2, lambda t, d: [
         "build-background", "--corpus", PAPERS, "--cutoff", "2017",
         "--index", d / "no" / "bg.json"]),
@@ -528,8 +546,10 @@ EXIT_CASES = {
 def test_exit_code(trained, tmp_path, capsys, case):
     code, argv = EXIT_CASES[case]
     assert main([str(a) for a in argv(trained, tmp_path)]) == code
-    err = capsys.readouterr().err
-    assert "error" in err and "Traceback" not in err
+    out, err = capsys.readouterr()
+    assert "error" in err and "Traceback" not in err and out == ""
+    # a failed train writes no models directory
+    assert not (tmp_path / "m").exists()
 
 
 @pytest.mark.parametrize("target", ["missing directory", "existing directory"])

@@ -102,7 +102,7 @@ class TestExtractSummary:
             f"\t{e.entity_type.value}"
             for e in summary.entities
         ]
-        lines += [str(e.key) for e in summary.edges]
+        lines += [str(e) for e in summary.edges]
         assert "".join(f"{line}\n" for line in lines) == golden("p03_summary.txt")
 
 
@@ -140,7 +140,7 @@ class TestExtractNovelty:
         ]
         assert len([k for k in default if k.is_edge]) == 1
         assert [k for k in elements(gp) if k not in default] == [
-            ElementKey.node(("this", "method"))
+            ElementKey(("this", "method"))
         ]
 
     def test_golden_p12(self, p12_bundle):
@@ -193,7 +193,7 @@ class TestExtractComparison:
         grel = build_kg(target, RELATED_SCOPE)
         from reviewgen.kg import ElementKey
 
-        assert tfidf(index, gp)[ElementKey.node(("alpha", "beta"))] == 0.5
+        assert tfidf(index, gp)[ElementKey(("alpha", "beta"))] == 0.5
         entries = extract_comparison(tfidf(index, gp), grel, index, set())
         assert entries == []
 
@@ -265,7 +265,7 @@ class TestRecommendRelated:
         from reviewgen.kg import ElementKey
 
         refs = tuple(PaperRef(f"R{i}", 2017 - i) for i in range(n))
-        return ComparisonEntry(ElementKey.node(("x",)), 0.9, refs)
+        return ComparisonEntry(ElementKey(("x",)), 0.9, refs)
 
     def test_caps_at_five_by_default(self):
         refs = recommend_related(self.entry(9))

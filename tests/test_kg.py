@@ -7,7 +7,7 @@ import random
 import pytest
 
 from reviewgen import kg as kg_module
-from reviewgen.corpus import EntityType, RelationType, SectionKind, parse_paper
+from reviewgen.corpus import EntityType, RelationType, parse_paper
 from reviewgen.kg import (
     RELATED_SCOPE,
     TARGET_SCOPE,
@@ -155,7 +155,9 @@ class TestBuildKg:
         assert kg.entities[0].representative == ("gated", "recurrent", "unit")
         assert kg.edges == ()
 
-    def test_duplicate_triples_keep_first_provenance(self):
+    def test_duplicate_triples_keep_first_position(self):
+        # relations A, B, A' (a repeat of A) give edges (A, B): graph order,
+        # which is neither key order nor the order of last occurrence
         doc = paper_doc(
             sections={
                 "abstract": [["cnn", "for", "parsing", "."]],
@@ -174,13 +176,17 @@ class TestBuildKg:
             relations=[
                 {"head_id": 0, "tail_id": 1, "type": "used_for",
                  "section": "abstract", "sentence": 0},
+                {"head_id": 0, "tail_id": 1, "type": "compare",
+                 "section": "abstract", "sentence": 0},
                 {"head_id": 2, "tail_id": 3, "type": "used_for",
                  "section": "conclusion", "sentence": 0},
             ],
         )
         kg = build_kg(parse_paper(doc), TARGET_SCOPE)
-        assert len(kg.edges) == 1
-        assert kg.edges[0].provenance == (SectionKind.ABSTRACT, 0)
+        assert kg.edges == (
+            ElementKey(("cnn",), RelationType.USED_FOR, ("parsing",)),
+            ElementKey(("cnn",), RelationType.COMPARE, ("parsing",)),
+        )
 
     def test_out_of_scope_relation_dropped(self):
         doc = paper_doc(
@@ -319,10 +325,20 @@ class TestMergeClosureOracle:
                     assert not coreferential(reps[i], reps[j]), (reps[i], reps[j])
             # edges name their endpoints by representative, which is
             # sound only while representatives are unique
-            unique = set(reps)
-            assert len(unique) == len(reps)
-            for edge in kg.edges:
-                assert {edge.head, edge.tail} <= unique
+            assert len(set(reps)) == len(reps)
+            # in-scope relations between two entities, each repeat dropped
+            # in favour of its first position
+            rep_of = {
+                m.mention_id: e.representative for e in kg.entities for m in e.mentions
+            }
+            expected: list[ElementKey] = []
+            for rel in record.annotations.relations:
+                head, tail = rep_of.get(rel.head_id), rep_of.get(rel.tail_id)
+                key = ElementKey(head, rel.relation, tail)
+                if rel.section in TARGET_SCOPE and head and tail and head != tail:
+                    if key not in expected:
+                        expected.append(key)
+            assert kg.edges == tuple(expected), f"case {case}"
 
     def test_entity_count_bounded_by_cluster_count(self):
         rng = random.Random(6)
@@ -398,7 +414,7 @@ class TestElements:
 
 
 class TestElementKey:
-    NODE = ElementKey.node(["neural", "network"])
+    NODE = ElementKey(("neural", "network"))
     EDGE = ElementKey(("cnn",), RelationType.USED_FOR, ("tagging",))
 
     def test_constructors_fill_the_fields(self):
@@ -412,12 +428,12 @@ class TestElementKey:
     def test_equal_keys_hash_equal(self):
         twin = ElementKey(("cnn",), RelationType.USED_FOR, ("tagging",))
         assert twin == self.EDGE and hash(twin) == hash(self.EDGE)
-        assert len({self.NODE, self.EDGE, twin, ElementKey.node(("neural", "network"))}) == 2
+        assert len({self.NODE, self.EDGE, twin, ElementKey(("neural", "network"))}) == 2
 
     @pytest.mark.parametrize(
         "other",
         [
-            ElementKey.node(("neural",)),
+            ElementKey(("neural",)),
             ElementKey(("cnn",), RelationType.COMPARE, ("tagging",)),
             ElementKey(("cnn",), RelationType.USED_FOR, ("parsing",)),
             ElementKey(("tagging",), RelationType.USED_FOR, ("cnn",)),
@@ -431,9 +447,9 @@ class TestElementKey:
             ElementKey(("a",), RelationType.USED_FOR, ("b",)),
             ElementKey(("a",), RelationType.COMPARE, ("c",)),
             ElementKey(("a",), RelationType.COMPARE, ("b",)),
-            ElementKey.node(("z",)),
-            ElementKey.node(("a", "b")),
-            ElementKey.node(("a",)),
+            ElementKey(("z",)),
+            ElementKey(("a", "b")),
+            ElementKey(("a",)),
         ]
         ordered = sorted(keys, key=ElementKey.sort_key)
         assert ordered == [keys[5], keys[4], keys[3], keys[2], keys[1], keys[0]]

@@ -220,11 +220,11 @@ class TestTemplateParsing:
 
 class TestElementText:
     def test_node_uses_surface_map(self):
-        key = ElementKey.node(("gated", "unit"))
+        key = ElementKey(("gated", "unit"))
         assert element_text(key, {("gated", "unit"): "Gated Unit"}) == "Gated Unit"
 
     def test_node_falls_back_to_key(self):
-        assert element_text(ElementKey.node(("gated", "unit")), {}) == "gated unit"
+        assert element_text(ElementKey(("gated", "unit")), {}) == "gated unit"
 
     def test_edge_gloss(self):
         key = ElementKey(("crf",), RelationType.USED_FOR, ("ner",))
@@ -278,7 +278,7 @@ class TestGenerateNovelty:
         return {(f"c{i}",): f"c{i}" for i in range(n)}
 
     def keys(self, n):
-        return [ElementKey.node((f"c{i}",)) for i in range(n)]
+        return [ElementKey((f"c{i}",)) for i in range(n)]
 
     def test_singular_count(self):
         comment = generate_novelty(self.keys(1), 4, default_templates(),
@@ -305,7 +305,7 @@ class TestGenerateComparison:
         for i in range(n_entries):
             refs = tuple(PaperRef(f"B{i}{j}", 2016 - j) for j in range(n_refs))
             out.append(
-                ComparisonEntry(ElementKey.node((f"c{i}",)), 0.9 - i * 0.1, refs)
+                ComparisonEntry(ElementKey((f"c{i}",)), 0.9 - i * 0.1, refs)
             )
         return out
 

@@ -330,3 +330,7 @@ class TestInit:
     def test_config_rejects_bad_learning_rate(self, lr):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=lr)
+
+    def test_config_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(seed=-1)

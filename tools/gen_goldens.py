@@ -64,7 +64,7 @@ def main() -> int:
         f"entity\t{' '.join(e.representative)}\t{e.rep_surface}\t{e.entity_type.value}"
         for e in p03_summary.entities
     ]
-    lines += [str(e.key) for e in p03_summary.edges]
+    lines += [str(e) for e in p03_summary.edges]
     (GOLDEN / "p03_summary.txt").write_text(
         "".join(f"{line}\n" for line in lines), encoding="utf-8"
     )
