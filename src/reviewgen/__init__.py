@@ -6,15 +6,29 @@ per-category evidence, predicts 1-5 review scores with a small
 attentional recurrent classifier, and renders template-based comments.
 """
 
+import importlib.util
 import os
+import sys
 
 # One BLAS thread per process unless the user set a count: the network's
 # matrices are too small to gain from threads, and `train` already runs a
 # process per CPU, whose thread pools would fight over the cores. BLAS
-# reads these when numpy is first imported, so they are set before that.
+# reads these when numpy loads, which is never earlier than here.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
+
+# numpy loads on the first read of one of its attributes, so the graph and
+# index commands never pay for its import. The modules that use it take
+# this object: an ``import numpy`` statement would read ``__spec__`` and
+# so load it at once.
+np = sys.modules.get("numpy")
+if np is None:
+    _spec = importlib.util.find_spec("numpy")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(np)
+    del _spec
 
 from reviewgen.background import (
     BackgroundIndex,

@@ -12,7 +12,8 @@ fits the seven category models, on every CPU in the process's affinity
 mask: this process takes a share, and forked workers, which inherit the
 paused collector, take the rest. Each train process writes the model files
 of its own categories. ``taskset -c 0`` keeps a command on one CPU; the
-output is the same.
+output is the same. build-background and novelty-timeline never load
+numpy; the other commands load it before they read their inputs.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import gc
 import sys
 from pathlib import Path
 
+from reviewgen import np
 from reviewgen.background import (
     BackgroundIndex,
     build_index,
@@ -199,13 +201,16 @@ def cmd_train(args: argparse.Namespace) -> int:
         """Train and save one category's model; return its log lines."""
         category, vocab, dataset = job
         lines: list[str] = []
-        params = train(
-            dataset,
-            len(vocab),
-            config,
-            num_classes=NUM_SCORE_CLASSES,
-            log=lambda line: lines.append(f"[{category.value}] {line}"),
-        )
+        try:
+            params = train(
+                dataset,
+                len(vocab),
+                config,
+                num_classes=NUM_SCORE_CLASSES,
+                log=lambda line: lines.append(f"[{category.value}] {line}"),
+            )
+        except ValidationError as exc:
+            raise ValidationError(f"[{category.value}] {exc}") from exc
         model = ScoreModel(params=params, vocab=vocab, max_seq_len=config.max_seq_len)
         save_model(model, model_dir / f"{category.value}.json")
         lines.append(f"[{category.value}] saved ({len(dataset)} examples)")
@@ -336,6 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.func not in (cmd_build_background, cmd_novelty_timeline):
+        # numpy first loaded in the middle of building bundles raises
+        # train's peak memory; the first attribute read loads it
+        np.ndarray  # noqa: B018
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -15,8 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
+from reviewgen import np
 from reviewgen.corpus import EntityType, PaperRecord, RelationType
 from reviewgen.background import (
     BackgroundIndex,

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
+from reviewgen import np
 from reviewgen.scoring.model import (
     ForwardTrace,
     ModelParams,
@@ -27,7 +26,7 @@ from reviewgen.scoring.model import (
     loss,
 )
 
-Gradients = dict[str, np.ndarray]
+Gradients = dict[str, "np.ndarray"]  # a string, so numpy is not loaded here
 
 
 def backward(

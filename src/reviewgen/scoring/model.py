@@ -27,8 +27,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
-import numpy as np
-
+from reviewgen import np
 from reviewgen.errors import EmptySequenceError, ShapeMismatchError
 from reviewgen.evidence import FEATURE_DIM
 

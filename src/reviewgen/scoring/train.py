@@ -16,8 +16,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
+from reviewgen import np
 from reviewgen.corpus import (
     Category,
     PaperRecord,
@@ -31,6 +30,7 @@ from reviewgen.errors import (
     FormatVersionError,
     MissingModelError,
     ParseError,
+    ValidationError,
 )
 from reviewgen.evidence import EvidenceBundle
 from reviewgen.scoring.grad import backward
@@ -119,7 +119,11 @@ def train(
     num_classes: int = NUM_SCORE_CLASSES,
     log: Callable[[str], None] | None = None,
 ) -> ModelParams:
-    """Fit a classifier; deterministic given (config.seed, dataset contents)."""
+    """Fit a classifier; deterministic given (config.seed, dataset contents).
+
+    Raises ValidationError when a step's loss or, checked once per epoch,
+    any parameter is not finite.
+    """
     if not dataset:
         raise EmptyDatasetError("cannot train on an empty dataset")
     for ex in dataset:
@@ -143,7 +147,12 @@ def train(
             ex = data[i]
             ids = ex.token_ids[: config.max_seq_len]
             trace = forward_trace(ids, ex.features, params)
-            total_loss += loss(trace.probs, ex.target)
+            step_loss = loss(trace.probs, ex.target)
+            if not math.isfinite(step_loss):
+                raise ValidationError(
+                    f"training diverged in epoch {epoch}: loss {step_loss}"
+                )
+            total_loss += step_loss
             correct += int(np.argmax(trace.probs)) == ex.target
             grads = backward(ids, ex.features, ex.target, params, trace)
             _clip_global_norm(grads)
@@ -156,6 +165,11 @@ def train(
                 denom = np.sqrt(v[name] / bc2) + ADAM_EPS
                 getattr(params, name)[...] -= (
                     config.learning_rate * (m[name] / bc1) / denom
+                )
+        for name, arr in params.items():
+            if not np.isfinite(arr).all():
+                raise ValidationError(
+                    f"training diverged in epoch {epoch}: {name} is not finite"
                 )
         if log is not None:
             log(

@@ -77,8 +77,14 @@ def build_random_paper(
     max_clusters: int = 8,
     citations: tuple[str, ...] = (),
     with_related_work: bool = False,
+    stray_relations: bool = False,
 ) -> PaperRecord:
-    """One random valid annotated paper, parsed through the real loader."""
+    """One random valid annotated paper, parsed through the real loader.
+
+    With ``stray_relations``, about a third of the relations are filed in
+    the body, which no graph scope covers, and about a third repeat the
+    mentions and type of an earlier relation.
+    """
     n_mentions = rng.randint(1, max_mentions)
     section_pool = ["abstract", "conclusion"]
     if with_related_work:
@@ -138,15 +144,21 @@ def build_random_paper(
     if len(mentions) >= 2:
         for _ in range(rng.randint(0, 6)):
             head, tail = rng.sample(range(len(mentions)), 2)
-            relations.append(
-                {
-                    "head_id": head,
-                    "tail_id": tail,
-                    "type": rng.choice(RELATION_TYPES),
-                    "section": mentions[head]["section"],
-                    "sentence": mentions[head]["sentence"],
-                }
-            )
+            relation = {
+                "head_id": head,
+                "tail_id": tail,
+                "type": rng.choice(RELATION_TYPES),
+                "section": mentions[head]["section"],
+                "sentence": mentions[head]["sentence"],
+            }
+            if stray_relations and relations and rng.random() < 0.3:
+                earlier = rng.choice(relations)
+                relation.update({k: earlier[k] for k in ("head_id", "tail_id", "type")})
+            if stray_relations and rng.random() < 0.3:
+                relation.update(section="body", sentence=0)
+            relations.append(relation)
+    if stray_relations:
+        sections["body"] = [["Details", "follow", "."]]
 
     doc = {
         "paper_id": paper_id,

@@ -9,6 +9,8 @@ import os
 import shutil
 import stat
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -631,3 +633,36 @@ class TestCollector:
                     assert gc.isenabled() == collecting, (collecting, code)
         finally:
             gc.enable()
+
+
+# runs each argv of a JSON list through main in one fresh interpreter and
+# prints, after each, whether any numpy submodule has been imported
+_NUMPY_LOADED_AFTER = """
+import json, sys
+from reviewgen.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded.append(any(m.startswith("numpy.") for m in sys.modules))
+print(json.dumps(loaded))
+"""
+
+
+def test_graph_commands_never_load_numpy(trained, tmp_path):
+    """build-background and novelty-timeline run without numpy's import;
+    review, which runs the network, loads it."""
+    commands = [
+        ["build-background", "--corpus", PAPERS, "--cutoff", 2017,
+         "--index", tmp_path / "bg.json"],
+        ["novelty-timeline", PAPERS / "P12.json", "--corpus", PAPERS,
+         "--years", "2012..2018"],
+        ["review", PAPERS / "P12.json", "--index", trained["index"],
+         "--models", trained["models"]],
+    ]
+    argvs = json.dumps([[str(a) for a in argv] for argv in commands])
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_LOADED_AFTER, argvs],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [False, False, True]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from reviewgen.errors import (
     FormatVersionError,
     MissingModelError,
     ParseError,
+    ValidationError,
 )
 from reviewgen.evidence import build_bundle
 from reviewgen.scoring.model import TrainConfig, forward, init_params
@@ -117,6 +119,35 @@ class TestTrain:
         # beyond-limit tokens never touch the forward pass, but they do
         # change the canonical sort key, which is irrelevant with one example
         np.testing.assert_array_equal(short.w_out, long.w_out)
+
+    @pytest.mark.filterwarnings(
+        "ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning"
+    )
+    def test_non_finite_loss_stops_training(self):
+        config = TrainConfig(d_w=6, d_h=8, d_a=6, d_e=4, epochs=2,
+                             learning_rate=1e308, seed=0)
+        with pytest.raises(ValidationError) as info:
+            train(self.dataset(), 6, config, num_classes=3)
+        assert str(info.value) == "training diverged in epoch 1: loss nan"
+
+    @pytest.mark.filterwarnings(
+        "ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning"
+    )
+    def test_non_finite_parameter_stops_training(self, monkeypatch):
+        # one example is one step an epoch, whose loss is computed before
+        # the update: only the check after the epoch sees the nan it leaves
+        module = sys.modules["reviewgen.scoring.train"]
+        exact = module.backward
+
+        def infinite(*args, **kwargs):
+            grads = exact(*args, **kwargs)
+            grads["b_out"][0] = np.inf  # clipping turns it into nan
+            return grads
+
+        monkeypatch.setattr(module, "backward", infinite)
+        with pytest.raises(ValidationError) as info:
+            train([example([3, 4], 0)], 6, TINY)
+        assert str(info.value) == "training diverged in epoch 1: b_out is not finite"
 
     def test_training_log(self):
         lines = []

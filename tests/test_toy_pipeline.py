@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 from reviewgen.background import load_index, restrict
 from reviewgen.corpus import Category, target_scores
@@ -12,6 +15,8 @@ from reviewgen.scoring.train import load_model, predict_scores
 
 from conftest import TOY_DIR, golden
 
+GENERATOR = Path(__file__).parent.parent / "tools" / "gen_toy_corpus.py"
+
 
 def load_all_models(model_dir):
     from reviewgen.corpus import SCOREABLE_CATEGORIES
@@ -20,6 +25,24 @@ def load_all_models(model_dir):
         category: load_model(model_dir / f"{category.value}.json")
         for category in SCOREABLE_CATEGORIES
     }
+
+
+def test_generator_reproduces_bundled_corpus(tmp_path):
+    result = subprocess.run(
+        [sys.executable, str(GENERATOR), str(tmp_path)], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+
+    def files(root):
+        return {
+            p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()
+        }
+
+    generated, bundled = files(tmp_path), files(TOY_DIR)
+    assert sorted(generated) == sorted(bundled)
+    for name, data in bundled.items():
+        assert generated[name] == data, name
 
 
 class TestLibraryMatchesCli:

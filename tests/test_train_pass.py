@@ -141,6 +141,24 @@ class TestSameErrors:
         assert err == f"error: no labeled examples for category {missing}\n"
         assert not models.exists()
 
+    @pytest.mark.filterwarnings(
+        "ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning"
+    )
+    def test_diverged_training_writes_no_model(
+        self, index, tmp_path, capsys, cpus, cpus_used
+    ):
+        # at this rate the first step moves every parameter by about 1e308,
+        # so the second step's loss is nan in every category
+        cpus(cpus_used)
+        models = tmp_path / "models"
+        argv = _argv(LABELS, index, models)
+        argv[argv.index("--epochs") + 1] = "1"
+        assert main([*argv, "--lr", "1e308"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: [appropriateness] training diverged in epoch 1: loss nan\n"
+        assert _models(models) == {}
+
     def test_unwritable_model_path(
         self, index, one_process, tmp_path, capsys, cpus, cpus_used
     ):
