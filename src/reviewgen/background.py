@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from json.encoder import encode_basestring
 from json.scanner import make_scanner
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -135,16 +136,23 @@ class BackgroundIndex:
 # beat one core in 5 of 11 paired runs at 200 papers and 7 of 11 at 300.
 PARALLEL_MIN_PAPERS = 250
 
-CorpusEntry = tuple[str, int, list[ElementKey] | None]
+# a key travels as a plain tuple: pickle writes and reads one several
+# times faster than an ``ElementKey``, a tuple subclass that it can only
+# rebuild through ``__reduce_ex__``
+CorpusEntry = tuple[str, int, list[tuple] | None]
 
 
 def _corpus_entry(item: PaperRecord | Path, cutoff_year: int) -> CorpusEntry:
-    """(paper_id, year, element keys) of one corpus paper, loaded first
-    when ``item`` is a path; the keys are None from the cutoff year on."""
+    """(paper_id, year, element keys as plain tuples) of one corpus paper,
+    loaded first when ``item`` is a path; the keys are None from the cutoff
+    year on."""
     paper = item if isinstance(item, PaperRecord) else load_paper(item)
     if paper.year >= cutoff_year:
         return paper.paper_id, paper.year, None
-    return paper.paper_id, paper.year, elements(build_kg(paper, TARGET_SCOPE))
+    kg = build_kg(paper, TARGET_SCOPE)
+    keys = [(e.representative, None, None) for e in kg.entities]
+    keys.extend(map(tuple, kg.edges))
+    return paper.paper_id, paper.year, keys
 
 
 def build_index(
@@ -158,7 +166,9 @@ def build_index(
     and conclusion (``TARGET_SCOPE``); indexing whole bodies inflates
     document frequencies. From ``PARALLEL_MIN_PAPERS`` papers up, the
     papers are loaded and graphed on every CPU by ``fork_map``, which
-    sends back only the element keys.
+    sends back only the element keys. Each distinct key becomes an
+    ``ElementKey`` once, here; the order of the postings shows nowhere,
+    since every reader sorts or matches through sets.
     """
     entry = partial(_corpus_entry, cutoff_year=cutoff_year)
     if len(corpus) < PARALLEL_MIN_PAPERS:
@@ -166,6 +176,9 @@ def build_index(
     else:
         entries = list(fork_map(entry, corpus))
     _check_unique_ids(paper_id for paper_id, _, _ in entries)
+    # in paper_id order, each key's refs come out sorted, since a paper
+    # holds a key once and no two papers share an id
+    entries.sort(key=itemgetter(0))
 
     year_counts: dict[int, int] = {}
     postings: dict[ElementKey, list[PaperRef]] = {}
@@ -175,15 +188,17 @@ def build_index(
         year_counts[year] = year_counts.get(year, 0) + 1
         ref = PaperRef(paper_id, year)
         for key in keys:
-            postings.setdefault(key, []).append(ref)
+            refs = postings.get(key)
+            if refs is None:
+                postings[tuple.__new__(ElementKey, key)] = [ref]
+            else:
+                refs.append(ref)
 
     return BackgroundIndex(
         cutoff_year=cutoff_year,
         n_papers=sum(year_counts.values()),
         year_counts=year_counts,
-        postings={
-            key: tuple(sorted(refs)) for key, refs in postings.items()
-        },
+        postings={key: tuple(refs) for key, refs in postings.items()},
     )
 
 

@@ -10,9 +10,10 @@ garbage collector paused, because their data holds no reference cycles.
 build-background and novelty-timeline graph a large corpus, and train
 fits the seven category models, on every CPU in the process's affinity
 mask: this process takes a share, and forked workers, which inherit the
-paused collector, take the rest. Each train process writes the model files
-of its own categories. ``taskset -c 0`` keeps a command on one CPU; the
-output is the same. build-background and novelty-timeline never load
+paused collector, take the rest. Each train process writes the models of
+its own categories to temp files, and all seven are renamed into place only
+once every one has been trained. ``taskset -c 0`` keeps a command on one
+CPU; the output is the same. build-background and novelty-timeline never load
 numpy; the other commands load it before they read their inputs.
 """
 
@@ -20,7 +21,9 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 from reviewgen import np
@@ -195,11 +198,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         jobs.append((category, vocab, dataset))
 
     model_dir = Path(args.models)
+    created = [d for d in (model_dir, *model_dir.parents) if not d.exists()]
     model_dir.mkdir(parents=True, exist_ok=True)
+    finals = [model_dir / f"{category.value}.json" for category, _, _ in jobs]
 
-    def fit(job: tuple[Category, Vocab, list[TrainingExample]]) -> list[str]:
-        """Train and save one category's model; return its log lines."""
-        category, vocab, dataset = job
+    def fit(job: tuple[Category, Vocab, list[TrainingExample], str]) -> list[str]:
+        """Train one category's model and save it to its temp file; return
+        its log lines."""
+        category, vocab, dataset, temp = job
         lines: list[str] = []
         try:
             params = train(
@@ -212,15 +218,54 @@ def cmd_train(args: argparse.Namespace) -> int:
         except ValidationError as exc:
             raise ValidationError(f"[{category.value}] {exc}") from exc
         model = ScoreModel(params=params, vocab=vocab, max_seq_len=config.max_seq_len)
-        save_model(model, model_dir / f"{category.value}.json")
+        save_model(model, temp)
         lines.append(f"[{category.value}] saved ({len(dataset)} examples)")
         return lines
 
-    # each process saves the models it trains and sends back only log
-    # lines; sending the parameters back would raise the peak memory
-    for lines in fork_map(fit, jobs):
+    # Each process saves the models it trains to temp files beside their
+    # final names and sends back only log lines; sending the parameters
+    # back would raise the peak memory. The models are renamed into place,
+    # in category order, only once every one has been trained, so a failed
+    # train creates or replaces none of them.
+    temps: list[str] = []
+    try:
+        for final in finals:
+            temps.append(_reserve_temp(final))
+        logs = list(fork_map(fit, [(*job, temp) for job, temp in zip(jobs, temps)]))
+        for temp, final in zip(temps, finals):
+            _rename(temp, final)
+    except BaseException:
+        for temp in temps:
+            if os.path.exists(temp):
+                os.unlink(temp)
+        for directory in created:  # deepest first; only if still empty
+            try:
+                directory.rmdir()
+            except OSError:
+                break
+        raise
+    for lines in logs:
         print("\n".join(lines))
     return 0
+
+
+def _reserve_temp(path: Path) -> str:
+    """The name of a new, empty temp file beside ``path``; an ``OSError``
+    names ``path``, never the temp file."""
+    try:
+        fd, temp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    os.close(fd)
+    return temp
+
+
+def _rename(temp: str, path: Path) -> None:
+    """Rename ``temp`` over ``path``; an ``OSError`` names ``path``."""
+    try:
+        os.replace(temp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

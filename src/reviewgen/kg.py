@@ -9,13 +9,17 @@ clusters whose representatives share a token are compared for merging.
 Equal representatives are coreferential, so the representative names an
 entity uniquely within its graph. A graph's edges are ``ElementKey``
 values naming their endpoints by it, and graphs compare across papers
-through those keys: one per entity node, one per relation edge.
+through those keys: one per entity node, one per relation edge. An
+``Entity``, like an ``ElementKey`` and the records of ``corpus``, is a
+``NamedTuple``: every corpus paper builds its graph once, and a tuple is
+built several times faster than a frozen dataclass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from operator import attrgetter
 from typing import NamedTuple
 
 from reviewgen.corpus import (
@@ -49,18 +53,22 @@ def normalize(surface: str) -> NormalizedString:
     return tuple(t for t in tokens if any(ch.isalnum() for ch in t))
 
 
+def _rank(norms: dict[int, NormalizedString], mention: Mention) -> tuple:
+    """A mention's place in the representative order: informative mentions
+    first, then more normalized tokens, the smaller normalized form and the
+    lower ``mention_id``; ``norms`` maps ``mention_id`` to its normalized
+    surface."""
+    norm = norms[mention.mention_id]
+    return (
+        mention.entity_type is EntityType.GENERIC, -len(norm), norm, mention.mention_id
+    )
+
+
 def _representative(
     cluster: list[Mention], norms: dict[int, NormalizedString]
 ) -> Mention:
-    """The best-ranked mention of a non-empty cluster; ``norms`` maps each
-    member's ``mention_id`` to its normalized surface."""
-
-    def rank(mention: Mention) -> tuple:
-        norm = norms[mention.mention_id]
-        return (-len(norm), norm, mention.mention_id)
-
-    informative = [m for m in cluster if m.entity_type is not EntityType.GENERIC]
-    return min(informative or cluster, key=rank)
+    """The best-ranked mention of a non-empty cluster; the first on a tie."""
+    return min(cluster, key=partial(_rank, norms))
 
 
 def representative_mention(cluster: list[Mention]) -> Mention:
@@ -84,6 +92,10 @@ def coreferential(a: NormalizedString, b: NormalizedString) -> bool:
         raise ValueError("coreferential() requires non-empty token tuples")
     short, long = (a, b) if len(a) <= len(b) else (b, a)
     n = len(short)
+    if n == len(long):
+        return short == long
+    if n == 1:
+        return short[0] in long
     return any(long[i : i + n] == short for i in range(len(long) - n + 1))
 
 
@@ -119,8 +131,7 @@ class ElementKey(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
-class Entity:
+class Entity(NamedTuple):
     """A merged mention cluster with its representative form."""
 
     mentions: tuple[Mention, ...]
@@ -139,40 +150,27 @@ class KnowledgeGraph:
         return {e.representative: e for e in self.entities}
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _find(parent: list[int], i: int) -> int:
+    """The root of ``i`` in the union-find forest ``parent``, halving the
+    path on the way."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
 
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # smaller root index wins, keeping group order stable
-            if ra < rb:
-                self.parent[rb] = ra
-            else:
-                self.parent[ra] = rb
+_ENTITY_TYPES = tuple(EntityType)
 
 
 def _entity_type_of(mentions: list[Mention]) -> EntityType:
     """Majority type; ties go to the more specific type (enum order)."""
     if len(mentions) == 1:
         return mentions[0].entity_type
-    counts: dict[EntityType, int] = {}
-    for m in mentions:
-        counts[m.entity_type] = counts.get(m.entity_type, 0) + 1
-    best = max(counts.values())
-    for etype in EntityType:
-        if counts.get(etype, 0) == best:
-            return etype
-    raise AssertionError("unreachable")
+    types = [m.entity_type for m in mentions]
+    return max(_ENTITY_TYPES, key=types.count)  # the first of equal counts
+
+
+_mention_id = attrgetter("mention_id")
 
 
 def build_kg(paper: PaperRecord, scope: set[SectionKind]) -> KnowledgeGraph:
@@ -184,40 +182,47 @@ def build_kg(paper: PaperRecord, scope: set[SectionKind]) -> KnowledgeGraph:
     point. Only groups whose representatives share a token are compared,
     since containment implies a shared token. Relations are remapped to
     merged entities, with self-loops dropped; each edge key keeps the
-    position of its first relation annotation.
+    position of its first relation annotation. Entities and edge keys are
+    built with ``tuple.__new__``, as ``corpus`` builds its records.
     """
     if not scope:
         raise ValueError("scope must be non-empty")
 
-    by_id = {m.mention_id: m for m in paper.annotations.mentions}
+    mentions = paper.annotations.mentions
+    by_id = {m.mention_id: m for m in mentions}
     # each in-scope mention's normalized surface, computed once per call
     norms: dict[int, NormalizedString] = {
         m.mention_id: norm
-        for m in paper.annotations.mentions
+        for m in mentions
         if m.section in scope and (norm := normalize(m.surface))
     }
 
+    # each group lists its mentions by mention_id, so an entity made of
+    # one group takes the list as it is
     groups: list[list[Mention]] = []
     covered: set[int] = set()
     for cluster in paper.annotations.clusters:
         members = [by_id[i] for i in cluster if i in norms]
         if members:
+            members.sort(key=_mention_id)
             groups.append(members)
             covered.update(m.mention_id for m in members)
-    for m in paper.annotations.mentions:
-        if m.mention_id in norms and m.mention_id not in covered:
-            groups.append([m])
-    groups.sort(key=lambda ms: min(m.mention_id for m in ms))
+    groups.extend(
+        [m] for m in mentions if m.mention_id in norms and m.mention_id not in covered
+    )
+    groups.sort(key=lambda ms: ms[0].mention_id)
 
     # Merge groups whose representatives contain one another. One pairwise
     # pass is sufficient: a merged group's representative is always one of
     # the old representatives, so no merge creates a new containment pair.
     # Two non-empty representatives can only be coreferential if they share
-    # a token, so only those pairs are compared; the union keeps the
-    # smallest index as root, so the order of the unions does not matter.
-    rep_mentions = [_representative(g, norms) for g in groups]
+    # a token, so only those pairs are compared. Group j is compared with
+    # earlier groups only, so it is its own root until it joins one; the
+    # smaller root wins each union, so the order of the unions does not
+    # matter. A one-mention group is its own representative.
+    rep_mentions = [g[0] if len(g) == 1 else _representative(g, norms) for g in groups]
     reps = [norms[m.mention_id] for m in rep_mentions]
-    uf = _UnionFind(len(groups))
+    parent = list(range(len(groups)))
     earlier_with_token: dict[str, list[int]] = {}
     for j, rep in enumerate(reps):
         sharing: set[int] = set()
@@ -225,48 +230,40 @@ def build_kg(paper: PaperRecord, scope: set[SectionKind]) -> KnowledgeGraph:
             earlier = earlier_with_token.setdefault(token, [])
             sharing.update(earlier)
             earlier.append(j)
-        for i in sorted(sharing):
-            if uf.find(i) != uf.find(j) and coreferential(reps[i], reps[j]):
-                uf.union(i, j)
+        root = j
+        for i in sharing:
+            other = _find(parent, i)
+            if other != root and coreferential(reps[i], rep):
+                if other < root:
+                    parent[root] = other
+                    root = other
+                else:
+                    parent[other] = root
     members: dict[int, list[int]] = {}
     for i in range(len(groups)):
-        members.setdefault(uf.find(i), []).append(i)
+        members.setdefault(_find(parent, i), []).append(i)
 
     # The rank puts informative mentions first, so the best of the member
     # groups' representatives is the best mention of the merged group.
-    merged_entities = []
+    # Equal representatives are merged, so no two entities tie in the sort.
+    entities = []
     for parts in members.values():
         if len(parts) == 1:
             rep = rep_mentions[parts[0]]
+            group = groups[parts[0]]
         else:
             rep = _representative([rep_mentions[i] for i in parts], norms)
-        merged_entities.append(
-            (
-                norms[rep.mention_id],
-                rep.surface,
-                sorted(
-                    (m for i in parts for m in groups[i]),
-                    key=lambda m: m.mention_id,
-                ),
-            )
-        )
-    merged_entities.sort(key=lambda item: item[0])
+            group = sorted((m for i in parts for m in groups[i]), key=_mention_id)
+        entities.append(tuple.__new__(Entity, (
+            tuple(group), norms[rep.mention_id], rep.surface, _entity_type_of(group)
+        )))
+    entities.sort(key=attrgetter("representative"))
 
-    entities = tuple(
-        Entity(
-            mentions=tuple(mentions),
-            representative=rep,
-            rep_surface=surface,
-            entity_type=_entity_type_of(mentions),
-        )
-        for rep, surface, mentions in merged_entities
-    )
-
-    entity_of_mention: dict[int, NormalizedString] = {}
-    for entity in entities:
-        for m in entity.mentions:
-            entity_of_mention[m.mention_id] = entity.representative
-
+    entity_of_mention = {
+        m.mention_id: entity.representative
+        for entity in entities
+        for m in entity.mentions
+    }
     edges: dict[ElementKey, None] = {}  # ordered set: first position wins
     for rel in paper.annotations.relations:
         if rel.section not in scope:
@@ -275,9 +272,9 @@ def build_kg(paper: PaperRecord, scope: set[SectionKind]) -> KnowledgeGraph:
         tail = entity_of_mention.get(rel.tail_id)
         if head is None or tail is None or head == tail:
             continue
-        edges[ElementKey(head, rel.relation, tail)] = None
+        edges[tuple.__new__(ElementKey, (head, rel.relation, tail))] = None
 
-    return KnowledgeGraph(entities, tuple(edges))
+    return KnowledgeGraph(tuple(entities), tuple(edges))
 
 
 def elements(kg: KnowledgeGraph) -> list[ElementKey]:

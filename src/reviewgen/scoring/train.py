@@ -122,7 +122,8 @@ def train(
     """Fit a classifier; deterministic given (config.seed, dataset contents).
 
     Raises ValidationError when a step's loss or, checked once per epoch,
-    any parameter is not finite.
+    any parameter is not finite; numpy's floating-point warnings are
+    silenced while it trains.
     """
     if not dataset:
         raise EmptyDatasetError("cannot train on an empty dataset")
@@ -140,42 +141,46 @@ def train(
     step = 0
     n = len(data)
 
-    for epoch in range(1, config.epochs + 1):
-        total_loss = 0.0
-        correct = 0
-        for i in shuffle_rng.permutation(n):
-            ex = data[i]
-            ids = ex.token_ids[: config.max_seq_len]
-            trace = forward_trace(ids, ex.features, params)
-            step_loss = loss(trace.probs, ex.target)
-            if not math.isfinite(step_loss):
-                raise ValidationError(
-                    f"training diverged in epoch {epoch}: loss {step_loss}"
+    # a diverging step overflows long before its loss reads nan; the loss
+    # and parameter checks report that as one error, so numpy's warnings
+    # are silenced here
+    with np.errstate(all="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            total_loss = 0.0
+            correct = 0
+            for i in shuffle_rng.permutation(n):
+                ex = data[i]
+                ids = ex.token_ids[: config.max_seq_len]
+                trace = forward_trace(ids, ex.features, params)
+                step_loss = loss(trace.probs, ex.target)
+                if not math.isfinite(step_loss):
+                    raise ValidationError(
+                        f"training diverged in epoch {epoch}: loss {step_loss}"
+                    )
+                total_loss += step_loss
+                correct += int(np.argmax(trace.probs)) == ex.target
+                grads = backward(ids, ex.features, ex.target, params, trace)
+                _clip_global_norm(grads)
+                step += 1
+                bc1 = 1.0 - ADAM_BETA1**step
+                bc2 = 1.0 - ADAM_BETA2**step
+                for name, g in grads.items():
+                    m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+                    v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * g * g
+                    denom = np.sqrt(v[name] / bc2) + ADAM_EPS
+                    getattr(params, name)[...] -= (
+                        config.learning_rate * (m[name] / bc1) / denom
+                    )
+            for name, arr in params.items():
+                if not np.isfinite(arr).all():
+                    raise ValidationError(
+                        f"training diverged in epoch {epoch}: {name} is not finite"
+                    )
+            if log is not None:
+                log(
+                    f"epoch {epoch}/{config.epochs} "
+                    f"loss {total_loss / n:.6f} acc {correct / n:.4f}"
                 )
-            total_loss += step_loss
-            correct += int(np.argmax(trace.probs)) == ex.target
-            grads = backward(ids, ex.features, ex.target, params, trace)
-            _clip_global_norm(grads)
-            step += 1
-            bc1 = 1.0 - ADAM_BETA1**step
-            bc2 = 1.0 - ADAM_BETA2**step
-            for name, g in grads.items():
-                m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
-                v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * g * g
-                denom = np.sqrt(v[name] / bc2) + ADAM_EPS
-                getattr(params, name)[...] -= (
-                    config.learning_rate * (m[name] / bc1) / denom
-                )
-        for name, arr in params.items():
-            if not np.isfinite(arr).all():
-                raise ValidationError(
-                    f"training diverged in epoch {epoch}: {name} is not finite"
-                )
-        if log is not None:
-            log(
-                f"epoch {epoch}/{config.epochs} "
-                f"loss {total_loss / n:.6f} acc {correct / n:.4f}"
-            )
     return params
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reviewgen import background
 from reviewgen.background import (
     BackgroundIndex,
     PaperRef,
@@ -21,7 +22,7 @@ from reviewgen.background import (
     save_index,
     tfidf,
 )
-from reviewgen.corpus import RelationType, parse_paper
+from reviewgen.corpus import RelationType, corpus_paths, parse_paper
 from reviewgen.errors import (
     CutoffMismatchError,
     FormatVersionError,
@@ -124,6 +125,18 @@ class TestBuildIndex:
         shuffled = list(corpus)
         random.Random(3).shuffle(shuffled)
         assert build_index(shuffled, 2018) == build_index(corpus, 2018)
+
+    @pytest.mark.parametrize("cpus_used", [1, 2])
+    def test_paths_graphed_by_workers_give_element_keys(
+        self, toy_dir, index2018, monkeypatch, cpus, cpus_used
+    ):
+        # each paper's keys come back as plain tuples, which hash and compare
+        # as ElementKeys do, so only their type shows a key left unconverted
+        cpus(cpus_used)
+        monkeypatch.setattr(background, "PARALLEL_MIN_PAPERS", 2)
+        index = build_index(corpus_paths(toy_dir / "papers"), 2018)
+        assert index.postings == index2018.postings
+        assert all(type(key) is ElementKey for key in index.postings)
 
 
 class TestRestrict:

@@ -527,6 +527,9 @@ EXIT_CASES = {
     "train negative learning rate": (2, lambda t, d: [
         "train", LABELS, "--corpus", PAPERS, "--index", t["index"],
         "--models", d / "m", "--lr", "-1", "--epochs", "1"]),
+    "train diverges": (2, lambda t, d: [
+        "train", LABELS, "--corpus", PAPERS, "--index", t["index"],
+        "--models", d / "m", "--lr", "1e308", "--epochs", "1"]),
     "train negative seed": (2, lambda t, d: [
         "train", LABELS, "--corpus", PAPERS, "--index", t["index"],
         "--models", d / "m", "--seed", "-1", "--epochs", "1"]),

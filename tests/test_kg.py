@@ -7,11 +7,22 @@ import random
 import pytest
 
 from reviewgen import kg as kg_module
-from reviewgen.corpus import EntityType, RelationType, parse_paper
+from reviewgen.corpus import (
+    EntityType,
+    IEAnnotations,
+    Mention,
+    PaperRecord,
+    RelationAnnotation,
+    RelationType,
+    SectionKind,
+    Sentence,
+    parse_paper,
+)
 from reviewgen.kg import (
     RELATED_SCOPE,
     TARGET_SCOPE,
     ElementKey,
+    Entity,
     build_kg,
     coreferential,
     elements,
@@ -236,18 +247,94 @@ class TestBuildKg:
         assert len(fused.mentions) == 3
 
 
-    def test_unmerged_groups_ranked_once(self, monkeypatch):
+    def test_no_group_is_ranked_twice(self, monkeypatch):
+        # a one-mention group is its own representative; a cluster is ranked
+        # once, and a merged entity once, over its groups' representatives
         calls = []
         real = kg_module._representative
 
         def spy(cluster, norms):
-            calls.append(len(cluster))
+            calls.append(tuple(m.mention_id for m in cluster))
             return real(cluster, norms)
 
         monkeypatch.setattr(kg_module, "_representative", spy)
-        kg = build_kg(parse_paper(minimal_two_mention_doc()), TARGET_SCOPE)
-        assert len(kg.entities) == 2
-        assert calls == [1, 1]
+        doc = paper_doc(
+            sections={"abstract": [
+                ["it", "is", "a", "convolutional", "network", "."],
+                ["parsing", "with", "cnn", "and", "a", "cnn", "model", "."],
+            ]},
+            mentions=[
+                {"id": 0, "section": "abstract", "sentence": 0, "span": [3, 5],
+                 "type": "method"},
+                {"id": 1, "section": "abstract", "sentence": 0, "span": [0, 1],
+                 "type": "generic"},
+                {"id": 2, "section": "abstract", "sentence": 1, "span": [0, 1],
+                 "type": "task"},
+                {"id": 3, "section": "abstract", "sentence": 1, "span": [2, 3],
+                 "type": "method"},
+                {"id": 4, "section": "abstract", "sentence": 1, "span": [5, 7],
+                 "type": "method"},
+            ],
+            clusters=[[1, 0]],
+        )
+        kg = build_kg(parse_paper(doc), TARGET_SCOPE)
+        assert [e.representative for e in kg.entities] == [
+            ("cnn", "model"), ("convolutional", "network"), ("parsing",)
+        ]
+        assert sorted(calls) == [(0, 1), (3, 4)]
+
+    def test_later_representative_joins_two_earlier_entities(self):
+        # "cnn parsing" holds both earlier representatives, which hold
+        # neither each other, so all three groups become one entity
+        doc = paper_doc(
+            sections={"abstract": [["cnn", "and", "parsing", "by", "cnn", "parsing"]]},
+            mentions=[
+                {"id": 0, "section": "abstract", "sentence": 0, "span": [0, 1],
+                 "type": "method"},
+                {"id": 1, "section": "abstract", "sentence": 0, "span": [2, 3],
+                 "type": "task"},
+                {"id": 2, "section": "abstract", "sentence": 0, "span": [4, 6],
+                 "type": "method"},
+            ],
+        )
+        kg = build_kg(parse_paper(doc), TARGET_SCOPE)
+        assert partition(kg) == {frozenset({0, 1, 2})}
+        assert kg.entities[0].representative == ("cnn", "parsing")
+
+    def test_hand_built_record_with_a_mention_in_two_clusters(self):
+        # parse_paper rejects this record, but build_kg takes it: mention 2
+        # joins both clusters' entities, and the later entity in
+        # representative order names it in the relations
+        a = SectionKind.ABSTRACT
+        mentions = (
+            Mention(0, a, 0, (0, 1), "CNN", EntityType.METHOD),
+            Mention(1, a, 0, (1, 3), "convolutional network", EntityType.METHOD),
+            Mention(2, a, 0, (3, 4), "it", EntityType.GENERIC),
+            Mention(3, a, 0, (4, 5), "parsing", EntityType.TASK),
+        )
+        relations = (
+            RelationAnnotation(3, 0, RelationType.USED_FOR, a, 0),
+            RelationAnnotation(2, 1, RelationType.COMPARE, a, 0),
+        )
+        record = PaperRecord(
+            "H1", "t", 2015, "v",
+            annotations=IEAnnotations(mentions, ((2, 0), (2, 3)), relations),
+        )
+        kg = build_kg(record, TARGET_SCOPE)
+        assert [
+            ([m.mention_id for m in e.mentions], e.representative, e.rep_surface,
+             e.entity_type)
+            for e in kg.entities
+        ] == [
+            ([0, 2], ("cnn",), "CNN", EntityType.METHOD),
+            ([1], ("convolutional", "network"), "convolutional network",
+             EntityType.METHOD),
+            ([2, 3], ("parsing",), "parsing", EntityType.TASK),
+        ]
+        assert [str(k) for k in kg.edges] == [
+            "edge\tparsing\tused_for\tcnn",
+            "edge\tparsing\tcompare\tconvolutional network",
+        ]
 
 
 def minimal_two_mention_doc() -> dict:
@@ -463,6 +550,19 @@ class TestElementKey:
     def test_str(self):
         assert str(self.NODE) == "node\tneural network"
         assert str(self.EDGE) == "edge\tcnn\tused_for\ttagging"
+
+
+def test_record_tuples_keep_their_fields():
+    # the per-item records are NamedTuples, built and unpacked by position,
+    # so a field added, dropped or moved must show here first
+    assert Sentence._fields == ("sentence_index", "tokens")
+    assert Mention._fields == (
+        "mention_id", "section", "sentence_index", "span", "surface", "entity_type"
+    )
+    assert RelationAnnotation._fields == (
+        "head_id", "tail_id", "relation", "section", "sentence_index"
+    )
+    assert Entity._fields == ("mentions", "representative", "rep_surface", "entity_type")
 
 
 class TestGoldenElements:

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import TOY_DIR, golden, run_cli
 from reviewgen.background import build_index, save_index
+from reviewgen import cli
 from reviewgen.cli import main
 from reviewgen.corpus import SCOREABLE_CATEGORIES, load_corpus
 
@@ -141,9 +142,6 @@ class TestSameErrors:
         assert err == f"error: no labeled examples for category {missing}\n"
         assert not models.exists()
 
-    @pytest.mark.filterwarnings(
-        "ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning"
-    )
     def test_diverged_training_writes_no_model(
         self, index, tmp_path, capsys, cpus, cpus_used
     ):
@@ -157,28 +155,64 @@ class TestSameErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: [appropriateness] training diverged in epoch 1: loss nan\n"
-        assert _models(models) == {}
+        assert not models.exists()
+
+    def test_diverged_training_prints_one_line(self, index, tmp_path, cpus_used):
+        # numpy's overflow warnings, from any process, stay off stderr
+        models = tmp_path / "models"
+        argv = _argv(LABELS, index, models)
+        argv[argv.index("--epochs") + 1] = "1"
+        result = run_cli(*argv, "--lr", "1e308", cpus=cpus_used)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: [appropriateness] training diverged in epoch 1: loss nan\n"
+        )
+        assert not models.exists()
 
     def test_unwritable_model_path(
         self, index, one_process, tmp_path, capsys, cpus, cpus_used
     ):
+        # every model is trained and written to a temp file; the renames into
+        # place run in category order, and the directory blocking clarity's
+        # name fails the second, after appropriateness.json is in place
         cpus(cpus_used)
-        stdout, files = one_process
+        _, files = one_process
         models = tmp_path / "models"
         blocked = models / "clarity.json"
         blocked.mkdir(parents=True)
         assert main(_argv(LABELS, index, models)) == 2
         out, err = capsys.readouterr()
-        assert out == _lines_of(stdout, "appropriateness")
+        assert out == ""
         assert err == f"error: [Errno {errno.EISDIR}] Is a directory: '{blocked}'\n"
-        written = _models(models)
-        assert written["appropriateness.json"] == files["appropriateness.json"]
-        # each process finishes its share, so on two the categories after
-        # clarity are saved as well
-        later = set(written) - {"appropriateness.json"}
-        if cpus_used == 1:
-            assert later == set()
-        else:
-            assert later == set(MODEL_NAMES) - {"appropriateness.json", "clarity.json"}
-        assert all(written[name] == files[name] for name in later)
-        assert not list(models.glob("*.tmp"))
+        assert _models(models) == {"appropriateness.json": files["appropriateness.json"]}
+        assert sorted(p.name for p in models.iterdir()) == [
+            "appropriateness.json", "clarity.json"
+        ]
+
+    def test_failed_write_creates_or_replaces_no_model(
+        self, index, tmp_path, capsys, monkeypatch, cpus, cpus_used
+    ):
+        # novelty's model fails to be written; the models before and after it
+        # are trained and written to temp files, which are all removed, and
+        # a reused directory keeps its old models
+        cpus(cpus_used)
+        real = cli.save_model
+
+        def save_model(model, path):
+            if os.path.basename(path).startswith("novelty.json"):
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            real(model, path)
+
+        monkeypatch.setattr(cli, "save_model", save_model)
+        models = tmp_path / "models"
+        models.mkdir()
+        old = ["appropriateness.json", "overall_recommendation.json"]
+        for name in old:
+            (models / name).write_text("old", encoding="utf-8")
+        assert main(_argv(LABELS, index, models)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: [Errno {errno.ENOSPC}] No space left on device")
+        assert sorted(p.name for p in models.iterdir()) == old
+        assert all((models / name).read_text(encoding="utf-8") == "old" for name in old)
