@@ -130,8 +130,11 @@ class BackgroundIndex:
         return [k for group in groups for k in group if k.tail in tails]
 
 
-# Below this many papers a corpus is graphed in process: forking workers
-# costs about 12 ms to import, start and feed, more than it saves there.
+# Below this many papers a corpus is graphed in process. The fixed cost of
+# a parallel fork_map (its imports, forking a worker, piping its results
+# back and reaping it) is about 5-7 ms on a 2-CPU Xeon, for 16 trivial
+# items in the first call of a process; each paper's keys are pickled back
+# on top of that.
 # On a 2-CPU AMD EPYC box, with perfbench/corpusgen.py papers, two workers
 # beat one core in 5 of 11 paired runs at 200 papers and 7 of 11 at 300.
 PARALLEL_MIN_PAPERS = 250

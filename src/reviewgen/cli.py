@@ -2,19 +2,23 @@
 score models, generate reviews, plot novelty over time, verify gradients.
 
 Exit codes: 0 success, 2 bad input or usage, 3 missing or unreadable
-artifact (index or model files), 1 failed internal check. Results go to
-standard output; diagnostics go to standard error. Every command produces
-byte-identical output given identical inputs; train and grad-check take
-the --seed that fixes their randomness. Commands run with Python's cyclic
-garbage collector paused, because their data holds no reference cycles.
-build-background and novelty-timeline graph a large corpus, and train
-fits the seven category models, on every CPU in the process's affinity
-mask: this process takes a share, and forked workers, which inherit the
-paused collector, take the rest. Each train process writes the models of
-its own categories to temp files, and all seven are renamed into place only
-once every one has been trained. ``taskset -c 0`` keeps a command on one
-CPU; the output is the same. build-background and novelty-timeline never load
-numpy; the other commands load it before they read their inputs.
+artifact (index or model files), 1 failed internal check or dead worker
+process. Results go to standard output; diagnostics go to standard error.
+Every command produces byte-identical output given identical inputs;
+train and grad-check take the --seed that fixes their randomness.
+Commands run with Python's cyclic garbage collector paused, because their
+data holds no reference cycles. build-background and novelty-timeline
+graph a large corpus, and train fits the seven category models, on every
+CPU in the process's affinity mask: this process takes a share, and
+workers forked with os.fork, which inherit the paused collector, take the
+rest and send their results back through pipes. A worker that dies,
+killed by a signal or exiting non-zero, ends the command at once with
+exit 1, never with a hang, and no worker outlives the command. Each train
+process writes the models of its own categories to temp files, and all
+seven are renamed into place only once every one has been trained.
+``taskset -c 0`` keeps a command on one CPU; the output is the same.
+build-background and novelty-timeline never load numpy; the other
+commands load it before they read their inputs.
 """
 
 from __future__ import annotations

@@ -37,8 +37,13 @@ class MissingModelError(ReviewgenError):
     """No trained model is available for a requested category."""
 
     def __init__(self, category_name: str):
-        super().__init__(f"no model for category: {category_name}")
+        # the category alone is the argument, so that unpickling, which
+        # calls the class with the arguments, rebuilds the same error
+        super().__init__(category_name)
         self.category_name = category_name
+
+    def __str__(self) -> str:
+        return f"no model for category: {self.category_name}"
 
 
 class UnsupportedRelationError(ReviewgenError):

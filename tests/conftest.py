@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -51,6 +52,33 @@ def run_cli(
         cwd=cwd,
         env=None if env is None else {**os.environ, **env},
     )
+
+
+def run_bounded(code: str, *args: object, seconds: float = 30) -> subprocess.CompletedProcess:
+    """Run ``python -c code args`` in a session of its own. It fails the
+    test, rather than hang it, if it runs longer than ``seconds``, and it
+    fails it if any process of the session outlives the run."""
+    process = subprocess.Popen(
+        [sys.executable, "-c", code, *map(str, args)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = process.communicate(timeout=seconds)
+    except subprocess.TimeoutExpired:
+        os.killpg(process.pid, signal.SIGKILL)
+        process.communicate()
+        pytest.fail(f"still running after {seconds} s")
+    try:
+        os.killpg(process.pid, 0)
+    except ProcessLookupError:
+        pass
+    else:
+        os.killpg(process.pid, signal.SIGKILL)
+        pytest.fail("a process of the run outlived it")
+    return subprocess.CompletedProcess(process.args, process.returncode, stdout, stderr)
 
 
 @pytest.fixture

@@ -1,13 +1,32 @@
 """fork_map: results in item order from every process, errors raised in
-item order after the results before them."""
+item order after the results before them, and no worker left behind
+whether it succeeds, fails, dies or is interrupted."""
 
 from __future__ import annotations
 
 import os
+import pickle
+import re
 
 import pytest
 
+from conftest import run_bounded
+from reviewgen.errors import MissingModelError, ReviewgenError
 from reviewgen.parallel import fork_map
+
+# fork_map on the CPU count of argv[1] over range(16) with ``fn``, defined
+# by the code in argv[2]; prints the exception it raises
+_FORK_MAP_ON_CPUS = """
+import os, signal, sys, time
+from reviewgen import parallel
+parallel.cpu_count = lambda: int(sys.argv[1])
+caller = os.getpid()
+exec(sys.argv[2])
+try:
+    print(list(parallel.fork_map(fn, range(16))))
+except BaseException as exc:
+    print(type(exc).__name__, exc)
+"""
 
 
 def _pid_of(item: int) -> tuple[int, int]:
@@ -30,8 +49,7 @@ def test_results_in_item_order(cpus, count):
     assert [item for item, _ in results] == list(range(40))
     pids = {pid for _, pid in results}
     assert os.getpid() in pids
-    # with three, one worker may take every block the caller leaves
-    assert (len(pids) > 1) == (count > 1) and len(pids) <= count
+    assert len(pids) == count
 
 
 def test_caller_takes_every_wth_block(cpus):
@@ -57,3 +75,81 @@ def test_empty_and_single(cpus):
     cpus(2)
     assert list(fork_map(_pid_of, [])) == []
     assert list(fork_map(_pid_of, [5])) == [(5, os.getpid())]
+
+
+def _no_children_left() -> bool:
+    # WNOWAIT leaves any child there is to be waited for by its owner
+    try:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_workers_reaped_after_results_and_after_errors(cpus):
+    cpus(3)
+    assert len(list(fork_map(_pid_of, range(40)))) == 40
+    assert _no_children_left()
+    with pytest.raises(ValueError):
+        list(fork_map(_fail_on(5, 30), range(40)))
+    assert _no_children_left()
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_killed_worker_raises_at_once(count):
+    # the last worker kills itself on its first item; every other worker
+    # would sleep for a minute, and is killed and reaped instead
+    code = (
+        "def fn(item):\n"
+        "    if item == int(sys.argv[1]) - 1: os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    if os.getpid() != caller: time.sleep(60)\n"
+        "    return item\n"
+    )
+    result = run_bounded(_FORK_MAP_ON_CPUS, count, code, seconds=20)
+    assert result.returncode == 0, result.stderr
+    assert re.fullmatch(
+        r"ReviewgenError worker \d+ was killed by signal 9 \(Killed\)\n", result.stdout
+    )
+    assert result.stderr == ""
+
+
+def test_ctrl_c_kills_and_reaps_every_worker():
+    # the caller sends SIGINT to its whole process group, as a terminal's
+    # Ctrl-C does; the workers would sleep for a minute on every item
+    code = (
+        "def fn(item):\n"
+        "    if os.getpid() == caller: os.killpg(0, signal.SIGINT)\n"
+        "    time.sleep(60)\n"
+    )
+    result = run_bounded(_FORK_MAP_ON_CPUS, 3, code, seconds=20)
+    assert (result.returncode, result.stdout) == (0, "KeyboardInterrupt \n")
+
+
+def test_no_multiprocessing_import():
+    code = (
+        "import sys; import reviewgen.cli; from reviewgen import parallel; "
+        "parallel.cpu_count = lambda: 2; "
+        "assert list(parallel.fork_map(abs, range(-8, 8))) == list(map(abs, range(-8, 8))); "
+        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    )
+    result = run_bounded(code)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
+def _error_classes(cls: type) -> list[type]:
+    return [c for sub in cls.__subclasses__() for c in (sub, *_error_classes(sub))]
+
+
+# the arguments each error class is built with, where one message won't do
+_ERROR_ARGS = {MissingModelError: ("novelty",)}
+
+
+@pytest.mark.parametrize(
+    "cls", _error_classes(ReviewgenError), ids=lambda cls: cls.__name__
+)
+def test_error_survives_pickling(cls):
+    # a worker's exception reaches the caller through pickle
+    error = cls(*_ERROR_ARGS.get(cls, ("something went wrong",)))
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is cls
+    assert (str(copy), copy.args, vars(copy)) == (str(error), error.args, vars(error))

@@ -7,12 +7,13 @@ from __future__ import annotations
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from conftest import TOY_DIR, golden, run_cli
+from conftest import TOY_DIR, golden, run_bounded, run_cli
 from reviewgen.background import build_index, save_index
 from reviewgen import cli
 from reviewgen.cli import main
@@ -216,3 +217,40 @@ class TestSameErrors:
         assert err.startswith(f"error: [Errno {errno.ENOSPC}] No space left on device")
         assert sorted(p.name for p in models.iterdir()) == old
         assert all((models / name).read_text(encoding="utf-8") == "old" for name in old)
+
+
+# the CLI on two CPUs, with a ``train`` that kills the worker running it
+_KILLED_WORKER_CLI = """
+import os, signal, sys
+from reviewgen import cli, parallel
+parallel.cpu_count = lambda: 2
+caller = os.getpid()
+real = cli.train
+
+def train(*args, **kwargs):
+    if os.getpid() != caller:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(*args, **kwargs)
+
+cli.train = train
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_killed_worker_creates_or_replaces_no_model(index, tmp_path):
+    # the command ends at once with exit 1 and one line, the caller's
+    # models stay in their temp files and are removed, and a reused
+    # directory keeps its old models
+    models = tmp_path / "models"
+    models.mkdir()
+    old = ["appropriateness.json", "overall_recommendation.json"]
+    for name in old:
+        (models / name).write_text("old", encoding="utf-8")
+    result = run_bounded(_KILLED_WORKER_CLI, *_argv(LABELS, index, models), seconds=60)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert re.fullmatch(
+        r"internal check failed: worker \d+ was killed by signal 9 \(Killed\)\n",
+        result.stderr,
+    )
+    assert sorted(p.name for p in models.iterdir()) == old
+    assert all((models / name).read_text(encoding="utf-8") == "old" for name in old)
