@@ -14,8 +14,10 @@ workers forked with os.fork, which inherit the paused collector, take the
 rest and send their results back through pipes. A worker that dies,
 killed by a signal or exiting non-zero, ends the command at once with
 exit 1, never with a hang, and no worker outlives the command. Each train
-process writes the models of its own categories to temp files, and all
-seven are renamed into place only once every one has been trained.
+process writes the models of its own categories into one staging
+directory that train makes inside the models directory; all seven are
+renamed into place only once every one has been trained, and the staging
+directory is removed, with anything a failed run left in it.
 ``taskset -c 0`` keeps a command on one CPU; the output is the same.
 build-background and novelty-timeline never load numpy; the other
 commands load it before they read their inputs.
@@ -24,10 +26,13 @@ commands load it before they read their inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import os
+import shutil
 import sys
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 from reviewgen import np
@@ -204,12 +209,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     model_dir = Path(args.models)
     created = [d for d in (model_dir, *model_dir.parents) if not d.exists()]
     model_dir.mkdir(parents=True, exist_ok=True)
-    finals = [model_dir / f"{category.value}.json" for category, _, _ in jobs]
 
-    def fit(job: tuple[Category, Vocab, list[TrainingExample], str]) -> list[str]:
-        """Train one category's model and save it to its temp file; return
-        its log lines."""
-        category, vocab, dataset, temp = job
+    def fit(job: tuple[Category, Vocab, list[TrainingExample]]) -> list[str]:
+        """Train one category's model and save it to the staging directory;
+        return its log lines."""
+        category, vocab, dataset = job
         lines: list[str] = []
         try:
             params = train(
@@ -222,26 +226,29 @@ def cmd_train(args: argparse.Namespace) -> int:
         except ValidationError as exc:
             raise ValidationError(f"[{category.value}] {exc}") from exc
         model = ScoreModel(params=params, vocab=vocab, max_seq_len=config.max_seq_len)
-        save_model(model, temp)
+        save_model(model, staging / f"{category.value}.json")
         lines.append(f"[{category.value}] saved ({len(dataset)} examples)")
         return lines
 
-    # Each process saves the models it trains to temp files beside their
-    # final names and sends back only log lines; sending the parameters
-    # back would raise the peak memory. The models are renamed into place,
-    # in category order, only once every one has been trained, so a failed
-    # train creates or replaces none of them.
-    temps: list[str] = []
+    # Each process saves the models it trains into one staging directory
+    # inside the models directory and sends back only log lines; sending
+    # the parameters back would raise the peak memory. The models are
+    # renamed into place, in category order, only once every one has been
+    # trained, so a failed train creates or replaces none of them. The
+    # staging directory is removed either way, with whatever a failed or
+    # killed process left half-written in it.
     try:
-        for final in finals:
-            temps.append(_reserve_temp(final))
-        logs = list(fork_map(fit, [(*job, temp) for job, temp in zip(jobs, temps)]))
-        for temp, final in zip(temps, finals):
-            _rename(temp, final)
+        with _naming(model_dir):
+            staging = Path(tempfile.mkdtemp(dir=model_dir, prefix=".train-"))
+        try:
+            logs = list(fork_map(fit, jobs))
+            for category, _, _ in jobs:
+                name = f"{category.value}.json"
+                with _naming(model_dir / name):
+                    os.replace(staging / name, model_dir / name)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
     except BaseException:
-        for temp in temps:
-            if os.path.exists(temp):
-                os.unlink(temp)
         for directory in created:  # deepest first; only if still empty
             try:
                 directory.rmdir()
@@ -253,21 +260,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _reserve_temp(path: Path) -> str:
-    """The name of a new, empty temp file beside ``path``; an ``OSError``
-    names ``path``, never the temp file."""
+@contextlib.contextmanager
+def _naming(path: Path) -> Iterator[None]:
+    """Re-raise an ``OSError`` as one that names ``path``."""
     try:
-        fd, temp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
-    os.close(fd)
-    return temp
-
-
-def _rename(temp: str, path: Path) -> None:
-    """Rename ``temp`` over ``path``; an ``OSError`` names ``path``."""
-    try:
-        os.replace(temp, path)
+        yield
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
 

@@ -200,19 +200,25 @@ def predict_scores(
     bundle: EvidenceBundle,
     models: Mapping[Category, ScoreModel],
 ) -> ScoreReport:
-    """Per-category 1-5 scores with confidences; needs all seven models."""
+    """Per-category 1-5 scores with confidences; needs all seven models.
+
+    A finite model whose gates saturate overflows on the way to finite
+    probabilities, so numpy's overflow warnings are silenced here; its
+    invalid-value and divide warnings are not.
+    """
     scores: dict[Category, CategoryScore] = {}
-    for category in SCOREABLE_CATEGORIES:
-        model = models.get(category)
-        if model is None:
-            raise MissingModelError(category.value)
-        probs = _category_probs(paper, bundle, category, model)
-        best = int(np.argmax(probs))  # argmax takes the lowest index on ties
-        scores[category] = CategoryScore(
-            score=best + 1,
-            confidence=float(probs[best]),
-            probabilities=tuple(float(p) for p in probs),
-        )
+    with np.errstate(over="ignore"):
+        for category in SCOREABLE_CATEGORIES:
+            model = models.get(category)
+            if model is None:
+                raise MissingModelError(category.value)
+            probs = _category_probs(paper, bundle, category, model)
+            best = int(np.argmax(probs))  # argmax takes the lowest index on ties
+            scores[category] = CategoryScore(
+                score=best + 1,
+                confidence=float(probs[best]),
+                probabilities=tuple(float(p) for p in probs),
+            )
     return ScoreReport(paper_id=paper.paper_id, scores=scores)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import base64
 import gc
 import json
+import math
 import os
 import shutil
 import stat
@@ -230,6 +231,29 @@ class TestReview:
             assert block["score"] in (1, 2, 3, 4, 5)
             assert 0.0 < block["confidence"] <= 1.0
         assert len(payload["comments"]) == 8
+
+    def test_saturated_models_print_no_warning(self, trained, tmp_path):
+        # at this rate one epoch leaves finite models whose forward passes
+        # overflow on the way to finite probabilities
+        models = tmp_path / "models"
+        result = run_cli(
+            "train", LABELS, "--corpus", PAPERS, "--index", trained["index"],
+            "--models", models, "--epochs", 1, "--lr", "1e154",
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        review = run_cli(
+            "review", PAPERS / "P12.json", "--index", trained["index"],
+            "--models", models, "--format", "json",
+        )
+        assert (review.returncode, review.stderr) == (0, "")
+        for block in json.loads(review.stdout)["scores"].values():
+            assert all(math.isfinite(p) for p in block["probabilities"])
+        evaluation = run_cli(
+            "evaluate", LABELS, "--corpus", PAPERS,
+            "--index", trained["index"], "--models", models,
+        )
+        assert (evaluation.returncode, evaluation.stderr) == (0, "")
+        assert len(evaluation.stdout.splitlines()) == 7
 
     def test_paper_without_related_work(self, trained):
         result = run_cli(

@@ -72,6 +72,27 @@ class TestSameResult:
         assert (result.stdout, _models(models)) == one_process
         assert list(_models(models)) == sorted(MODEL_NAMES)
 
+    @pytest.mark.parametrize("cpus_used", [1, 2])
+    def test_only_the_models_are_left(
+        self, index, one_process, tmp_path, capsys, monkeypatch, cpus, cpus_used
+    ):
+        # one staging directory per run, inside the models directory, and
+        # nothing of it is left
+        cpus(cpus_used)
+        staged = []
+        real = cli.tempfile.mkdtemp
+
+        def mkdtemp(dir, prefix):
+            staged.append(real(dir=dir, prefix=prefix))
+            return staged[-1]
+
+        monkeypatch.setattr(cli.tempfile, "mkdtemp", mkdtemp)
+        models = tmp_path / "models"
+        assert main(_argv(LABELS, index, models)) == 0
+        assert (capsys.readouterr().out, _models(models)) == one_process
+        assert [os.path.dirname(path) for path in staged] == [str(models)]
+        assert sorted(p.name for p in models.iterdir()) == sorted(MODEL_NAMES)
+
     def test_threaded_blas_matches(self, index, one_process, tmp_path):
         # reviewgen runs BLAS on one thread unless asked for more
         env = {"OPENBLAS_NUM_THREADS": "2"}
@@ -174,9 +195,9 @@ class TestSameErrors:
     def test_unwritable_model_path(
         self, index, one_process, tmp_path, capsys, cpus, cpus_used
     ):
-        # every model is trained and written to a temp file; the renames into
-        # place run in category order, and the directory blocking clarity's
-        # name fails the second, after appropriateness.json is in place
+        # every model is trained and written to the staging directory; the
+        # renames into place run in category order, and the directory blocking
+        # clarity's name fails the second, after appropriateness.json is in place
         cpus(cpus_used)
         _, files = one_process
         models = tmp_path / "models"
@@ -195,8 +216,8 @@ class TestSameErrors:
         self, index, tmp_path, capsys, monkeypatch, cpus, cpus_used
     ):
         # novelty's model fails to be written; the models before and after it
-        # are trained and written to temp files, which are all removed, and
-        # a reused directory keeps its old models
+        # are trained and written to the staging directory, which is removed,
+        # and a reused directory keeps its old models
         cpus(cpus_used)
         real = cli.save_model
 
@@ -219,34 +240,42 @@ class TestSameErrors:
         assert all((models / name).read_text(encoding="utf-8") == "old" for name in old)
 
 
-# the CLI on two CPUs, with a ``train`` that kills the worker running it
+# the CLI on two CPUs, where the worker kills itself when it calls the
+# function named by the first argument: ``train``, or ``fchmod``, which
+# ``save_model`` calls once its temp file exists
 _KILLED_WORKER_CLI = """
 import os, signal, sys
 from reviewgen import cli, parallel
 parallel.cpu_count = lambda: 2
 caller = os.getpid()
-real = cli.train
+name = sys.argv[1]
+module = {"train": cli, "fchmod": os}[name]
+real = getattr(module, name)
 
-def train(*args, **kwargs):
+def kill_in_worker(*args, **kwargs):
     if os.getpid() != caller:
         os.kill(os.getpid(), signal.SIGKILL)
     return real(*args, **kwargs)
 
-cli.train = train
-sys.exit(cli.main(sys.argv[1:]))
+setattr(module, name, kill_in_worker)
+sys.exit(cli.main(sys.argv[2:]))
 """
 
 
-def test_killed_worker_creates_or_replaces_no_model(index, tmp_path):
+@pytest.mark.parametrize("kill_in", ["train", "fchmod"])
+def test_killed_worker_creates_or_replaces_no_model(index, tmp_path, kill_in):
     # the command ends at once with exit 1 and one line, the caller's
-    # models stay in their temp files and are removed, and a reused
-    # directory keeps its old models
+    # models stay in the staging directory, which is removed, and a reused
+    # directory keeps its old models; killed in fchmod, the worker leaves
+    # its half-written model there too, and that goes with the rest
     models = tmp_path / "models"
     models.mkdir()
     old = ["appropriateness.json", "overall_recommendation.json"]
     for name in old:
         (models / name).write_text("old", encoding="utf-8")
-    result = run_bounded(_KILLED_WORKER_CLI, *_argv(LABELS, index, models), seconds=60)
+    result = run_bounded(
+        _KILLED_WORKER_CLI, kill_in, *_argv(LABELS, index, models), seconds=60
+    )
     assert (result.returncode, result.stdout) == (1, "")
     assert re.fullmatch(
         r"internal check failed: worker \d+ was killed by signal 9 \(Killed\)\n",
@@ -254,3 +283,18 @@ def test_killed_worker_creates_or_replaces_no_model(index, tmp_path):
     )
     assert sorted(p.name for p in models.iterdir()) == old
     assert all((models / name).read_text(encoding="utf-8") == "old" for name in old)
+
+
+def test_unmakeable_staging_directory(index, tmp_path, capsys, monkeypatch):
+    # the error names the models directory, not the staging directory, and
+    # the directories this run created are removed again
+    def mkdtemp(dir, prefix):
+        raise OSError(errno.ENOSPC, "No space left on device", f"{dir}/{prefix}x")
+
+    monkeypatch.setattr(cli.tempfile, "mkdtemp", mkdtemp)
+    models = tmp_path / "new" / "models"
+    assert main(_argv(LABELS, index, models)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: [Errno {errno.ENOSPC}] No space left on device: '{models}'\n"
+    assert list(tmp_path.iterdir()) == []

@@ -90,16 +90,6 @@ def main() -> int:
         encoding="utf-8",
     )
 
-    (GOLDEN / "build_background.txt").write_text(
-        run_cli(
-            "build-background",
-            "--corpus", TOY / "papers",
-            "--cutoff", 2017,
-            "--index", Path(tempfile.mkdtemp()) / "bg2017.json",
-        ),
-        encoding="utf-8",
-    )
-
     (GOLDEN / "timeline.txt").write_text(
         run_cli(
             "novelty-timeline", TOY / "papers/P12.json",
@@ -110,6 +100,15 @@ def main() -> int:
     )
 
     with tempfile.TemporaryDirectory() as tmp:
+        (GOLDEN / "build_background.txt").write_text(
+            run_cli(
+                "build-background",
+                "--corpus", TOY / "papers",
+                "--cutoff", 2017,
+                "--index", Path(tmp) / "bg2017.json",
+            ),
+            encoding="utf-8",
+        )
         index_path = Path(tmp) / "background.json"
         models = Path(tmp) / "models"
         run_cli(
