@@ -78,6 +78,10 @@ class BackgroundIndex:
     contribute no elements; ``year_counts`` records how many papers were
     counted per publication year so the index can later be narrowed to an
     earlier cutoff without rescanning the corpus.
+
+    No posting tuple is empty: ``build_index`` never makes one,
+    ``restrict`` drops a key whose papers all fall at or after the new
+    cutoff, and ``load_index`` rejects a row without postings.
     """
 
     cutoff_year: int
@@ -177,7 +181,7 @@ def build_index(
     if len(corpus) < PARALLEL_MIN_PAPERS:
         entries = [entry(item) for item in corpus]
     else:
-        entries = list(fork_map(entry, corpus))
+        entries = fork_map(entry, corpus)
     _check_unique_ids(paper_id for paper_id, _, _ in entries)
     # in paper_id order, each key's refs come out sorted, since a paper
     # holds a key once and no two papers share an id

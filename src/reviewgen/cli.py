@@ -26,13 +26,11 @@ commands load it before they read their inputs.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import os
 import shutil
 import sys
 import tempfile
-from collections.abc import Iterator
 from pathlib import Path
 
 from reviewgen import np
@@ -48,6 +46,7 @@ from reviewgen.corpus import (
     PaperRecord,
     ReviewLabels,
     SCOREABLE_CATEGORIES,
+    _naming,
     corpus_paths,
     load_corpus,
     load_paper,
@@ -241,7 +240,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         with _naming(model_dir):
             staging = Path(tempfile.mkdtemp(dir=model_dir, prefix=".train-"))
         try:
-            logs = list(fork_map(fit, jobs))
+            logs = fork_map(fit, jobs)
             for category, _, _ in jobs:
                 name = f"{category.value}.json"
                 with _naming(model_dir / name):
@@ -258,15 +257,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     for lines in logs:
         print("\n".join(lines))
     return 0
-
-
-@contextlib.contextmanager
-def _naming(path: Path) -> Iterator[None]:
-    """Re-raise an ``OSError`` as one that names ``path``."""
-    try:
-        yield
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

@@ -15,10 +15,11 @@ dataclass. They are immutable all the same.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
-from collections.abc import Iterable, Set
+from collections.abc import Iterable, Iterator, Set
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
@@ -199,6 +200,15 @@ def _load_json(path: str | Path):
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _naming(path: Path) -> Iterator[None]:
+    """Re-raise an ``OSError`` as one that names ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+
+
 def _write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to a temp file beside ``path``, then rename it over ``path``.
 
@@ -206,7 +216,7 @@ def _write_atomic(path: Path, text: str) -> None:
     umask), not the 0o600 of ``mkstemp``, which the rename would keep. An
     ``OSError`` names ``path``, never the temp file, which is removed.
     """
-    try:
+    with _naming(path):
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -219,8 +229,6 @@ def _write_atomic(path: Path, text: str) -> None:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def _parse_sections(raw: dict, locus: str) -> dict[SectionKind, tuple[Sentence, ...]]:

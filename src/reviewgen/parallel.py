@@ -1,16 +1,17 @@
 """Run one function over a list of items on every CPU this process may use.
 
-The items are cut into blocks, about eight per process. With W CPUs in
-the affinity mask, the calling process runs blocks 0, W, 2W, ... itself,
-and forked worker w (1 <= w < W) runs blocks w, w + W, .... The workers
-are forked with ``os.fork``, not spawned: each inherits the function, the
-items and the loaded modules, so nothing is pickled on the way in. Each
-worker pickles its results to its own pipe and exits; the caller reads
-every pipe to its end and reaps every worker. A result does not depend
-on the process that computed it, so the output is the same on any number
-of CPUs.
+The items are dealt out one at a time. With W processes, the lesser of
+the CPUs in the affinity mask and the number of items, process w runs
+items w, w + W, w + 2W, ...; the calling process is process 0, and the
+others are forked workers. Each process stops at its own first failing
+item. The workers are forked with ``os.fork``, not spawned: each inherits
+the function, the items and the loaded modules, so nothing is pickled on
+the way in. Each worker pickles its outcomes to its own pipe and exits;
+the caller reads every pipe to its end and reaps every worker. A result
+does not depend on the process that computed it, so the output is the
+same on any number of CPUs.
 
-A worker that is killed, or that exits without sending its results,
+A worker that is killed, or that exits without sending its outcomes,
 raises a ``ReviewgenError`` naming its pid; it never leaves the caller
 waiting. If the caller itself fails, Ctrl-C included, it kills and reaps
 every worker still running, so no worker outlives the call.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import os
 import sys
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from typing import Any, NoReturn
 
 from reviewgen.errors import ReviewgenError
@@ -34,30 +35,23 @@ def cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _run_blocks(
-    fn: Callable[[Any], Any], items: Sequence[Any], size: int, blocks: range
-) -> dict[int, list[Any]]:
-    """Each item's result, or the exception it raised, by block."""
-    outcomes = {}
-    for block in blocks:
-        outcomes[block] = block_outcomes = []
-        for item in items[block * size : (block + 1) * size]:
-            try:
-                block_outcomes.append(fn(item))
-            except Exception as exc:
-                block_outcomes.append(exc)
+def _outcomes(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
+    """``fn(item)`` for each item in turn, ending with the exception of
+    the first item that raises one, if any does."""
+    outcomes = []
+    for item in items:
+        try:
+            outcomes.append(fn(item))
+        except Exception as exc:
+            outcomes.append(exc)
+            break
     return outcomes
 
 
 def _work(
-    write: int,
-    unused: list[int],
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    size: int,
-    blocks: range,
+    write: int, unused: list[int], fn: Callable[[Any], Any], items: Sequence[Any]
 ) -> NoReturn:
-    """In a forked worker: run ``blocks``, pickle their outcomes to the pipe
+    """In a forked worker: run ``items``, pickle their outcomes to the pipe
     ``write`` and exit, with status 0 only if every byte was written.
     ``unused`` are read ends of pipes that only the caller reads."""
     import pickle
@@ -67,7 +61,7 @@ def _work(
         for fd in unused:
             os.close(fd)
         with open(write, "wb") as pipe:
-            pickle.dump(_run_blocks(fn, items, size, blocks), pipe, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(_outcomes(fn, items), pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
     except Exception as exc:
         print(f"error: worker {os.getpid()}: {exc}", file=sys.stderr)
@@ -79,32 +73,28 @@ def _work(
             os._exit(status)
 
 
-def fork_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> Iterator[Any]:
-    """Yield ``fn(item)`` for every item, in item order.
+def fork_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
+    """``[fn(item) for item in items]``, computed on every CPU.
 
-    On one CPU the items run in process, one by one. Otherwise every item
-    runs before the first result is yielded; an exception raised by an
-    item, in any process, is raised when its place in the order is
-    reached, so the results before it are still yielded.
+    If any item raises, the exception of the first such item in item
+    order is raised, once every process has stopped.
     """
-    processes = cpu_count()
-    if processes < 2 or len(items) < 2:
-        for item in items:
-            yield fn(item)
-        return
+    processes = min(cpu_count(), len(items))
+    if processes < 2:
+        return [fn(item) for item in items]
     import pickle  # only a parallel run pays for these imports
     import select
     import signal
 
-    size = -(-len(items) // (processes * 8))
-    count = -(-len(items) // size)
     # a worker that exits flushes its copy of the stdio buffers, so
     # anything still buffered here would be written twice
     sys.stdout.flush()
     sys.stderr.flush()
     workers: dict[int, int] = {}  # read end of a worker's pipe -> its pid
     try:
-        for w in range(1, min(processes, count)):
+        for w in range(1, processes):
+            # sliced before the fork, so the child cannot raise into this code
+            dealt = items[w::processes]
             read, write = os.pipe()
             # SIGINT is held off until the new worker is on the list, so
             # Ctrl-C cannot leave it unlisted, and it stays blocked in the
@@ -113,13 +103,15 @@ def fork_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> Iterator[Any]:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    unused = [read, *workers]
-                    _work(write, unused, fn, items, size, range(w, count, processes))
+                    _work(write, [read, *workers], fn, dealt)
                 workers[read] = pid
+            except OSError:  # no worker was forked to own the read end
+                os.close(read)
+                raise
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 os.close(write)
-        outcomes = _run_blocks(fn, items, size, range(0, count, processes))
+        outcomes = [_outcomes(fn, items[::processes])]
         # every pipe is read as its bytes arrive, so the first worker to
         # die is reaped, and raises, whichever one it is
         sent = {read: bytearray() for read in workers}
@@ -151,10 +143,13 @@ def fork_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> Iterator[Any]:
             os.waitpid(pid, 0)
             os.close(read)
         raise
-    for data in sent.values():
-        outcomes.update(pickle.loads(data))
-    for block in range(count):
-        for outcome in outcomes[block]:
-            if isinstance(outcome, Exception):
-                raise outcome
-            yield outcome
+    outcomes.extend(pickle.loads(data) for data in sent.values())  # worker order
+    # a process stops at its first failing item, so scanning in item order
+    # raises that failure before reaching an item the process skipped
+    results = []
+    for i in range(len(items)):
+        outcome = outcomes[i % processes][i // processes]
+        if isinstance(outcome, Exception):
+            raise outcome
+        results.append(outcome)
+    return results

@@ -157,7 +157,9 @@ class TestRestrict:
             papers = build_random_corpus(rng, rng.randint(0, 10))
             wide = build_index(papers, 2018)
             year = rng.randint(2010, 2018)
-            assert restrict(wide, year) == build_index(papers, year)
+            index = restrict(wide, year)
+            assert index == build_index(papers, year)
+            assert all(index.postings.values())
 
 
 # a three-token alphabet, so that repeated tokens and containment chains

@@ -1,9 +1,10 @@
-"""fork_map: results in item order from every process, errors raised in
-item order after the results before them, and no worker left behind
+"""fork_map: items dealt to the processes one at a time, results in item
+order, the first error in item order raised, and no worker left behind
 whether it succeeds, fails, dies or is interrupted."""
 
 from __future__ import annotations
 
+import errno
 import os
 import pickle
 import re
@@ -15,15 +16,18 @@ from reviewgen.errors import MissingModelError, ReviewgenError
 from reviewgen.parallel import fork_map
 
 # fork_map on the CPU count of argv[1] over range(16) with ``fn``, defined
-# by the code in argv[2]; prints the exception it raises
+# by the code in argv[2]; prints the exception it raises. SIGINT raises
+# KeyboardInterrupt even where the test run was started with it ignored,
+# as a background job of a non-interactive shell is.
 _FORK_MAP_ON_CPUS = """
 import os, signal, sys, time
 from reviewgen import parallel
 parallel.cpu_count = lambda: int(sys.argv[1])
 caller = os.getpid()
 exec(sys.argv[2])
+signal.signal(signal.SIGINT, signal.default_int_handler)
 try:
-    print(list(parallel.fork_map(fn, range(16))))
+    print(parallel.fork_map(fn, range(16)))
 except BaseException as exc:
     print(type(exc).__name__, exc)
 """
@@ -45,7 +49,7 @@ def _fail_on(*bad: int):
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_results_in_item_order(cpus, count):
     cpus(count)
-    results = list(fork_map(_pid_of, range(40)))
+    results = fork_map(_pid_of, range(40))
     assert [item for item, _ in results] == list(range(40))
     pids = {pid for _, pid in results}
     assert os.getpid() in pids
@@ -58,23 +62,56 @@ def test_caller_takes_every_wth_block(cpus):
     assert [pid == os.getpid() for pid in pids] == [i % 2 == 0 for i in range(7)]
 
 
+def test_item_runs_where_item_mod_w_runs(cpus):
+    cpus(3)
+    pids = [pid for _, pid in fork_map(_pid_of, range(40))]
+    assert pids[0] == os.getpid()
+    assert len(set(pids[:3])) == 3
+    assert pids == [pids[i % 3] for i in range(40)]
+
+
 @pytest.mark.parametrize("count", [1, 2])
 @pytest.mark.parametrize("bad", [(0,), (3,), (3, 4), (6, 1)])
 def test_first_error_in_item_order_raised_after_earlier_results(cpus, count, bad):
     cpus(count)
-    seen = []
     with pytest.raises(ValueError) as exc:
-        for result in fork_map(_fail_on(*bad), range(7)):
-            seen.append(result)
-    first = min(bad)
-    assert str(exc.value) == f"item {first}"
-    assert seen == [i * i for i in range(first)]
+        fork_map(_fail_on(*bad), range(7))
+    assert str(exc.value) == f"item {min(bad)}"
+
+
+def test_each_process_stops_at_its_first_failing_item(cpus):
+    # the items each process ran are recorded in its own memory, so only
+    # the caller's show here
+    cpus(2)
+    ran = []
+
+    def fn(item: int) -> int:
+        ran.append(item)
+        if item == 0:
+            raise ValueError("item 0")
+        return item
+
+    with pytest.raises(ValueError):
+        fork_map(fn, range(8))
+    assert ran == [0]
 
 
 def test_empty_and_single(cpus):
     cpus(2)
-    assert list(fork_map(_pid_of, [])) == []
-    assert list(fork_map(_pid_of, [5])) == [(5, os.getpid())]
+    assert fork_map(_pid_of, []) == []
+    assert fork_map(_pid_of, [5]) == [(5, os.getpid())]
+
+
+def test_failed_fork_leaves_no_pipe_open(cpus, monkeypatch):
+    def fork() -> int:
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    cpus(2)
+    monkeypatch.setattr(os, "fork", fork)
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        fork_map(_pid_of, range(4))
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 def _no_children_left() -> bool:
@@ -88,10 +125,10 @@ def _no_children_left() -> bool:
 
 def test_workers_reaped_after_results_and_after_errors(cpus):
     cpus(3)
-    assert len(list(fork_map(_pid_of, range(40)))) == 40
+    assert len(fork_map(_pid_of, range(40))) == 40
     assert _no_children_left()
     with pytest.raises(ValueError):
-        list(fork_map(_fail_on(5, 30), range(40)))
+        fork_map(_fail_on(5, 30), range(40))
     assert _no_children_left()
 
 
@@ -129,7 +166,7 @@ def test_no_multiprocessing_import():
     code = (
         "import sys; import reviewgen.cli; from reviewgen import parallel; "
         "parallel.cpu_count = lambda: 2; "
-        "assert list(parallel.fork_map(abs, range(-8, 8))) == list(map(abs, range(-8, 8))); "
+        "assert parallel.fork_map(abs, range(-8, 8)) == list(map(abs, range(-8, 8))); "
         "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
     )
     result = run_bounded(code)
