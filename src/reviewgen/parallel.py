@@ -4,12 +4,14 @@ The items are dealt out one at a time. With W processes, the lesser of
 the CPUs in the affinity mask and the number of items, process w runs
 items w, w + W, w + 2W, ...; the calling process is process 0, and the
 others are forked workers. Each process stops at its own first failing
-item. The workers are forked with ``os.fork``, not spawned: each inherits
-the function, the items and the loaded modules, so nothing is pickled on
-the way in. Each worker pickles its outcomes to its own pipe and exits;
-the caller reads every pipe to its end and reaps every worker. A result
-does not depend on the process that computed it, so the output is the
-same on any number of CPUs.
+item, and once the caller has failed at item j, each worker runs no item
+after j: the caller writes j to that worker's stop pipe, which the worker
+reads before each item. The workers are forked with ``os.fork``, not
+spawned: each inherits the function, the items and the loaded modules, so
+nothing is pickled on the way in. Each worker pickles its outcomes to its
+own pipe and exits; the caller reads every pipe to its end and reaps every
+worker. A result does not depend on the process that computed it, so the
+output is the same on any number of CPUs.
 
 A worker that is killed, or that exits without sending its outcomes,
 raises a ``ReviewgenError`` naming its pid; it never leaves the caller
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import os
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Any, NoReturn
 
 from reviewgen.errors import ReviewgenError
@@ -35,7 +37,7 @@ def cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _outcomes(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
+def _outcomes(fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
     """``fn(item)`` for each item in turn, ending with the exception of
     the first item that raises one, if any does."""
     outcomes = []
@@ -48,8 +50,28 @@ def _outcomes(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
     return outcomes
 
 
+def _until_stopped(
+    stop: int, dealt: Sequence[Any], first: int, step: int
+) -> Iterator[Any]:
+    """A worker's ``dealt`` items, items ``first``, ``first + step``, ...
+    of the call, in turn, up to the first one after the item j that the
+    caller names on the non-blocking pipe ``stop`` when it fails there."""
+    failed = None
+    for k, item in enumerate(dealt):
+        if failed is None:
+            # the caller writes j whole, in 8 bytes, fewer than PIPE_BUF; a
+            # read gives b"", j = 0, only at end of file, once the caller is gone
+            try:
+                failed = int.from_bytes(os.read(stop, 8), "little")
+            except BlockingIOError:
+                pass
+        if failed is not None and first + k * step > failed:
+            return
+        yield item
+
+
 def _work(
-    write: int, unused: list[int], fn: Callable[[Any], Any], items: Sequence[Any]
+    write: int, unused: list[int], fn: Callable[[Any], Any], items: Iterable[Any]
 ) -> NoReturn:
     """In a forked worker: run ``items``, pickle their outcomes to the pipe
     ``write`` and exit, with status 0 only if every byte was written.
@@ -91,10 +113,16 @@ def fork_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
     sys.stdout.flush()
     sys.stderr.flush()
     workers: dict[int, int] = {}  # read end of a worker's pipe -> its pid
+    # both ends of each worker's stop pipe stay open here until the call
+    # returns, so writing to one never fails, whether its worker runs or not
+    stops: list[tuple[int, int]] = []
     try:
         for w in range(1, processes):
-            # sliced before the fork, so the child cannot raise into this code
-            dealt = items[w::processes]
+            stop_read, stop_write = os.pipe()
+            stops.append((stop_read, stop_write))
+            os.set_blocking(stop_read, False)
+            # made before the fork, so the child cannot raise into this code
+            dealt = _until_stopped(stop_read, items[w::processes], w, processes)
             read, write = os.pipe()
             # SIGINT is held off until the new worker is on the list, so
             # Ctrl-C cannot leave it unlisted, and it stays blocked in the
@@ -103,7 +131,8 @@ def fork_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(write, [read, *workers], fn, dealt)
+                    others = [fd for pair in stops[:-1] for fd in pair]
+                    _work(write, [read, stop_write, *workers, *others], fn, dealt)
                 workers[read] = pid
             except OSError:  # no worker was forked to own the read end
                 os.close(read)
@@ -112,6 +141,12 @@ def fork_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 os.close(write)
         outcomes = [_outcomes(fn, items[::processes])]
+        if isinstance(outcomes[0][-1], Exception):
+            # the caller stops at its first failing item, j; no later item
+            # can matter, and each worker runs every earlier one
+            failed = (len(outcomes[0]) - 1) * processes
+            for _, stop in stops:
+                os.write(stop, failed.to_bytes(8, "little"))
         # every pipe is read as its bytes arrive, so the first worker to
         # die is reaped, and raises, whichever one it is
         sent = {read: bytearray() for read in workers}
@@ -143,9 +178,14 @@ def fork_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
             os.waitpid(pid, 0)
             os.close(read)
         raise
+    finally:
+        for pair in stops:
+            for fd in pair:
+                os.close(fd)
     outcomes.extend(pickle.loads(data) for data in sent.values())  # worker order
-    # a process stops at its first failing item, so scanning in item order
-    # raises that failure before reaching an item the process skipped
+    # a process stops at its first failing item, and a worker runs no item
+    # after the caller's failing item j, so scanning in item order raises a
+    # failure, at j at the latest, before reaching an item a process skipped
     results = []
     for i in range(len(items)):
         outcome = outcomes[i % processes][i // processes]

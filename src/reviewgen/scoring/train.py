@@ -3,8 +3,13 @@
 Training is per-example adaptive-moment descent with global-norm gradient
 clipping. The dataset is put into a canonical order before the seeded
 shuffle, so the result depends only on (seed, dataset contents), never on
-input order. Model files are JSON with base64-packed little-endian
-float64 tensors; save/load round-trips bitwise and writes atomically.
+input order. Besides the gradients ``backward`` returns, a step allocates
+nothing the size of a parameter block: the moments and the parameters are
+updated in place, and every intermediate of the clipping and the update is
+written into one of two scratch arrays the size of the largest block,
+allocated once per ``train`` call and viewed in each block's shape. Model
+files are JSON with base64-packed little-endian float64 tensors; save/load
+round-trips bitwise and writes atomically.
 """
 
 from __future__ import annotations
@@ -103,13 +108,57 @@ def _canonical_order(dataset: Sequence[TrainingExample]) -> list[TrainingExample
     )
 
 
-def _clip_global_norm(grads: dict[str, np.ndarray]) -> None:
-    total = sum(float(np.sum(g * g)) for g in grads.values())
+def _view(scratch: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    return scratch[: math.prod(shape)].reshape(shape)
+
+
+def _clip_global_norm(grads: dict[str, np.ndarray], scratch: np.ndarray) -> None:
+    """Scale the gradients in place to a global norm of at most CLIP_NORM;
+    each block is squared into ``scratch``."""
+    total = sum(
+        float(np.sum(np.multiply(g, g, out=_view(scratch, g.shape))))
+        for g in grads.values()
+    )
     norm = math.sqrt(total)
     if norm > CLIP_NORM:
         scale = CLIP_NORM / norm
         for g in grads.values():
             g *= scale
+
+
+def _adam_step(
+    params: ModelParams,
+    grads: dict[str, np.ndarray],
+    m: dict[str, np.ndarray],
+    v: dict[str, np.ndarray],
+    step: int,
+    learning_rate: float,
+    scratch: tuple[np.ndarray, np.ndarray],
+) -> None:
+    """Clip ``grads`` and apply Adam step ``step`` to ``params``, ``m`` and
+    ``v`` in place. Each float operation takes the operands, in the order,
+    of m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps)."""
+    _clip_global_norm(grads, scratch[0])
+    bc1 = 1.0 - ADAM_BETA1**step
+    bc2 = 1.0 - ADAM_BETA2**step
+    for name, g in grads.items():
+        mb, vb, p = m[name], v[name], getattr(params, name)
+        a, b = (_view(s, g.shape) for s in scratch)
+        np.multiply(ADAM_BETA1, mb, out=mb)
+        np.multiply(1.0 - ADAM_BETA1, g, out=a)
+        np.add(mb, a, out=mb)
+        np.multiply(ADAM_BETA2, vb, out=vb)
+        np.multiply(1.0 - ADAM_BETA2, g, out=a)
+        np.multiply(a, g, out=a)
+        np.add(vb, a, out=vb)
+        np.divide(vb, bc2, out=a)
+        np.sqrt(a, out=a)
+        np.add(a, ADAM_EPS, out=a)  # the denominator
+        np.divide(mb, bc1, out=b)
+        np.multiply(learning_rate, b, out=b)
+        np.divide(b, a, out=b)
+        np.subtract(p, b, out=p)
 
 
 def train(
@@ -138,6 +187,8 @@ def train(
     shuffle_rng = np.random.default_rng([config.seed, 1])
     m = params.zeros_like()
     v = params.zeros_like()
+    largest = max(arr.size for _, arr in params.items())
+    scratch = (np.empty(largest), np.empty(largest))
     step = 0
     n = len(data)
 
@@ -159,18 +210,12 @@ def train(
                     )
                 total_loss += step_loss
                 correct += int(np.argmax(trace.probs)) == ex.target
-                grads = backward(ids, ex.features, ex.target, params, trace)
-                _clip_global_norm(grads)
                 step += 1
-                bc1 = 1.0 - ADAM_BETA1**step
-                bc2 = 1.0 - ADAM_BETA2**step
-                for name, g in grads.items():
-                    m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
-                    v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * g * g
-                    denom = np.sqrt(v[name] / bc2) + ADAM_EPS
-                    getattr(params, name)[...] -= (
-                        config.learning_rate * (m[name] / bc1) / denom
-                    )
+                grads = backward(ids, ex.features, ex.target, params, trace)
+                _adam_step(params, grads, m, v, step, config.learning_rate, scratch)
+                # neither this step's trace nor its gradients outlive it, so
+                # the next step does not allocate its own beside them
+                del trace, grads
             for name, arr in params.items():
                 if not np.isfinite(arr).all():
                     raise ValidationError(

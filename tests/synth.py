@@ -563,3 +563,54 @@ def oracle_backward(trace, target: int, params) -> dict:
 
     np.add.at(grads["embed"], np.asarray(trace.token_ids), dx)
     return grads
+
+
+def oracle_train(dataset, vocab_size: int, config, num_classes: int = 5):
+    """The training loop with an Adam update and gradient clipping that
+    allocate: each step builds new arrays for the squared gradients, the
+    moments, the denominator and the step, where the library writes them
+    in place and into scratch. Returns the parameters and the number of
+    steps whose gradients were clipped."""
+    import numpy as np
+
+    from reviewgen.scoring.grad import backward
+    from reviewgen.scoring.model import forward_trace, init_params
+    from reviewgen.scoring.train import (
+        ADAM_BETA1,
+        ADAM_BETA2,
+        ADAM_EPS,
+        CLIP_NORM,
+        _canonical_order,
+    )
+
+    data = _canonical_order(dataset)
+    params = init_params(vocab_size, config, num_classes)
+    shuffle_rng = np.random.default_rng([config.seed, 1])
+    m = params.zeros_like()
+    v = params.zeros_like()
+    step = clipped = 0
+    with np.errstate(all="ignore"):
+        for _ in range(config.epochs):
+            for i in shuffle_rng.permutation(len(data)):
+                ex = data[i]
+                ids = ex.token_ids[: config.max_seq_len]
+                trace = forward_trace(ids, ex.features, params)
+                grads = backward(ids, ex.features, ex.target, params, trace)
+                total = sum(float(np.sum(g * g)) for g in grads.values())
+                norm = math.sqrt(total)
+                if norm > CLIP_NORM:
+                    clipped += 1
+                    scale = CLIP_NORM / norm
+                    for g in grads.values():
+                        g *= scale
+                step += 1
+                bc1 = 1.0 - ADAM_BETA1**step
+                bc2 = 1.0 - ADAM_BETA2**step
+                for name, g in grads.items():
+                    m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+                    v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * g * g
+                    denom = np.sqrt(v[name] / bc2) + ADAM_EPS
+                    getattr(params, name)[...] -= (
+                        config.learning_rate * (m[name] / bc1) / denom
+                    )
+    return params, clipped

@@ -8,6 +8,7 @@ import errno
 import os
 import pickle
 import re
+import time
 
 import pytest
 
@@ -94,6 +95,26 @@ def test_each_process_stops_at_its_first_failing_item(cpus):
     with pytest.raises(ValueError):
         fork_map(fn, range(8))
     assert ran == [0]
+
+
+def test_worker_stops_once_the_caller_has_failed(cpus, tmp_path):
+    # the worker runs items 1, 3, ..., 19 and logs each one it starts;
+    # only items before the caller's failing item 0 could matter
+    cpus(2)
+    log = tmp_path / "started"
+    log.write_text("")
+
+    def fn(item: int) -> int:
+        if item == 0:
+            raise ValueError("item 0")
+        with open(log, "a") as started:
+            started.write(f"{item}\n")
+        time.sleep(0.05)
+        return item
+
+    with pytest.raises(ValueError, match="item 0"):
+        fork_map(fn, range(20))
+    assert len(log.read_text().split()) <= 2
 
 
 def test_empty_and_single(cpus):

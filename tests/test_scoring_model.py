@@ -282,7 +282,7 @@ class TestNumericalStability:
 
         rng = np.random.default_rng(6)
         x = np.concatenate([
-            [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300],
+            [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, np.inf, -np.inf],
             rng.standard_normal(5000) * 10.0,
             rng.uniform(-800.0, 800.0, 5000),
         ])

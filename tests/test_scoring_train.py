@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import sys
+import tracemalloc
 
 import numpy as np
+import numpy.random  # loaded before any allocation is traced
 import pytest
 
+from synth import make_separable_dataset, oracle_train
 from reviewgen.corpus import SCOREABLE_CATEGORIES, Category
 from reviewgen.errors import (
     EmptyDatasetError,
@@ -178,6 +181,61 @@ class TestTrain:
             for tokens, want in probes
         )
         assert hits / len(probes) >= 0.95
+
+
+class TestOracleTrain:
+    """The in-place Adam update against the allocating one in tests/synth.py."""
+
+    # seed, (d_w, d_h, d_a, d_e), feature scale, learning rate; the large
+    # features saturate the evidence layer, and its gradients are clipped
+    CASES = [
+        (0, (4, 6, 4, 4), 1.0, 0.01),
+        (1, (8, 5, 3, 32), 20.0, 0.05),
+        (2, (3, 9, 5, 2), 1.0, 0.1),
+        (3, (6, 3, 2, 7), 1.0, 0.001),
+    ]
+
+    @pytest.mark.parametrize("seed,dims,scale,learning_rate", CASES)
+    def test_bitwise_equal(self, seed, dims, scale, learning_rate):
+        d_w, d_h, d_a, d_e = dims
+        config = TrainConfig(d_w=d_w, d_h=d_h, d_a=d_a, d_e=d_e, epochs=3,
+                             seed=seed, learning_rate=learning_rate, max_seq_len=2)
+        dataset = [
+            TrainingExample(ex.token_ids, ex.features * scale, ex.target)
+            for ex in make_separable_dataset(seed, 12)
+        ]
+        params = train(dataset, 30, config)
+        expected, clipped = oracle_train(dataset, 30, config)
+        for name, arr in params.items():
+            assert np.array_equal(arr, getattr(expected, name)), name
+        assert (clipped > 0) == (scale > 1.0)
+
+
+def test_step_allocates_nothing_parameter_sized():
+    # the embedding table is the largest block by far; the traced peak
+    # holds the parameters, both moments, one set of gradients and the two
+    # scratch arrays, plus what one short sequence needs (about 30 KB)
+    vocab_size = 2000
+    config = TrainConfig(d_w=8, d_h=4, d_a=4, d_e=4, epochs=2, seed=0,
+                         learning_rate=0.01)
+    rng = np.random.default_rng(3)
+    dataset = [
+        TrainingExample(
+            tuple(int(t) for t in rng.integers(0, vocab_size, rng.integers(1, 7))),
+            rng.normal(size=17),
+            int(rng.integers(0, NUM_SCORE_CLASSES)),
+        )
+        for _ in range(6)
+    ]
+    params = init_params(vocab_size, config, NUM_SCORE_CLASSES)
+    blocks = [arr.nbytes for _, arr in params.items()]
+    tracemalloc.start()
+    try:
+        train(dataset, vocab_size, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * sum(blocks) + 2 * max(blocks) + 64 * 1024
 
 
 class TestPredictScores:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -109,3 +110,12 @@ class TestTrainedModelQuality:
             assert 0.0 <= float(accuracy) <= 1.0
             assert float(mse) >= 0.0
             Category(category)
+
+    def test_models_match_pinned_bytes(self, trained):
+        """The recipe's seven models are byte for byte those whose sha256
+        tools/gen_goldens.py wrote to models.sha256."""
+        got = "".join(
+            f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+            for path in sorted(trained["models"].iterdir())
+        )
+        assert got == golden("models.sha256")

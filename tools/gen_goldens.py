@@ -3,13 +3,16 @@
 
 Everything here is deterministic: fixed toy corpus, fixed training
 recipe (written to recipe.json so the test suite trains identically).
-Run after any intended behavior change, then review the diff.
+models.sha256 pins the bytes of the seven models that recipe trains, in
+``sha256sum`` format. Run after any intended behavior change, then review
+the diff.
 
 Usage: python3 tools/gen_goldens.py
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -124,6 +127,13 @@ def main() -> int:
             "--models", models,
             "--epochs", RECIPE["epochs"],
             "--seed", RECIPE["seed"],
+        )
+        (GOLDEN / "models.sha256").write_text(
+            "".join(
+                f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+                for path in sorted(models.iterdir())
+            ),
+            encoding="utf-8",
         )
         for fmt, name in (("markdown", "p12_review.md"), ("json", "p12_review.json")):
             (GOLDEN / name).write_text(
