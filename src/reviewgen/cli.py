@@ -9,11 +9,13 @@ train and grad-check take the --seed that fixes their randomness.
 Commands run with Python's cyclic garbage collector paused, because their
 data holds no reference cycles. build-background and novelty-timeline
 graph a large corpus, and train fits the seven category models, on every
-CPU in the process's affinity mask: this process takes a share, and
-workers forked with os.fork, which inherit the paused collector, take the
-rest and send their results back through pipes. A worker that dies,
-killed by a signal or exiting non-zero, ends the command at once with
-exit 1, never with a hang, and no worker outlives the command. Each train
+CPU in the process's affinity mask: this process and workers forked with
+os.fork, which inherit the paused collector, each take the next paper or
+category whenever they are free, and the workers send their results back
+through pipes. A failure in any process stops every process before its
+next item. A worker that dies, killed by a signal or exiting non-zero,
+ends the command with exit 1 once this process has finished its current
+item, never with a hang, and no worker outlives the command. Each train
 process writes the models of its own categories into one staging
 directory that train makes inside the models directory; all seven are
 renamed into place only once every one has been trained, and the staging

@@ -1,17 +1,19 @@
 """Run one function over a list of items on every CPU this process may use.
 
-The items are dealt out one at a time. With W processes, the lesser of
-the CPUs in the affinity mask and the number of items, process w runs
-items w, w + W, w + 2W, ...; the calling process is process 0, and the
-others are forked workers. Each process stops at its own first failing
-item, and once the caller has failed at item j, each worker runs no item
-after j: the caller writes j to that worker's stop pipe, which the worker
-reads before each item. The workers are forked with ``os.fork``, not
+The items are dealt out one at a time, on demand. With W processes, the
+lesser of the CPUs in the affinity mask and the number of items, the
+calling process and W - 1 workers forked with ``os.fork`` share one
+counter, a memfd read and advanced under a record lock: the caller runs
+item 0, and each process, whenever it is free, takes the next item number
+from the counter. A process that fails at an item sets the counter to the
+end, so no process takes another item, and between its own items the
+caller reads the workers' pipes without waiting, so a dead worker is
+noticed after the caller's current item. The workers are forked, not
 spawned: each inherits the function, the items and the loaded modules, so
-nothing is pickled on the way in. Each worker pickles its outcomes to its
-own pipe and exits; the caller reads every pipe to its end and reaps every
-worker. A result does not depend on the process that computed it, so the
-output is the same on any number of CPUs.
+nothing is pickled on the way in. Each worker pickles its numbered outcomes
+to its own pipe and exits; the caller reads every pipe to its end and reaps
+every worker. A result does not depend on the process that computed it, so
+the output is the same on any number of CPUs.
 
 A worker that is killed, or that exits without sending its outcomes,
 raises a ``ReviewgenError`` naming its pid; it never leaves the caller
@@ -37,45 +39,46 @@ def cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _outcomes(fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
-    """``fn(item)`` for each item in turn, ending with the exception of
-    the first item that raises one, if any does."""
-    outcomes = []
-    for item in items:
+def _take(counter: int, end: int, stop: bool = False) -> int:
+    """The next item number from the shared ``counter``, which moves past
+    it, or ``end`` once every item is taken; with ``stop``, the counter is
+    set to ``end``, so that no process takes another item."""
+    import fcntl
+
+    # a record lock: the kernel drops it if its holder dies
+    fcntl.lockf(counter, fcntl.LOCK_EX)
+    try:
+        i = int.from_bytes(os.pread(counter, 8, 0), "little")
+        os.pwrite(counter, (end if stop else min(i + 1, end)).to_bytes(8, "little"), 0)
+    finally:
+        fcntl.lockf(counter, fcntl.LOCK_UN)
+    return i
+
+
+def _outcomes(
+    fn: Callable[[Any], Any], items: Sequence[Any], counter: int, i: int | None
+) -> Iterator[tuple[int, Any]]:
+    """``(i, fn(items[i]))`` for item ``i``, or for the first item taken
+    from ``counter`` if ``i`` is None, and then for each item this process
+    takes from it, in turn, ending with the exception of the first item
+    that raises one, if any does; that item stops every process."""
+    if i is None:
+        i = _take(counter, len(items))
+    while i < len(items):
         try:
-            outcomes.append(fn(item))
+            outcome = fn(items[i])
         except Exception as exc:
-            outcomes.append(exc)
-            break
-    return outcomes
-
-
-def _until_stopped(
-    stop: int, dealt: Sequence[Any], first: int, step: int
-) -> Iterator[Any]:
-    """A worker's ``dealt`` items, items ``first``, ``first + step``, ...
-    of the call, in turn, up to the first one after the item j that the
-    caller names on the non-blocking pipe ``stop`` when it fails there."""
-    failed = None
-    for k, item in enumerate(dealt):
-        if failed is None:
-            # the caller writes j whole, in 8 bytes, fewer than PIPE_BUF; a
-            # read gives b"", j = 0, only at end of file, once the caller is gone
-            try:
-                failed = int.from_bytes(os.read(stop, 8), "little")
-            except BlockingIOError:
-                pass
-        if failed is not None and first + k * step > failed:
+            _take(counter, len(items), stop=True)
+            yield i, exc
             return
-        yield item
+        yield i, outcome
+        i = _take(counter, len(items))
 
 
-def _work(
-    write: int, unused: list[int], fn: Callable[[Any], Any], items: Iterable[Any]
-) -> NoReturn:
-    """In a forked worker: run ``items``, pickle their outcomes to the pipe
-    ``write`` and exit, with status 0 only if every byte was written.
-    ``unused`` are read ends of pipes that only the caller reads."""
+def _work(write: int, unused: list[int], outcomes: Iterable[Any]) -> NoReturn:
+    """In a forked worker: pickle ``outcomes`` to the pipe ``write`` and
+    exit, with status 0 only if every byte was written. ``unused`` are read
+    ends of pipes that only the caller reads."""
     import pickle
 
     status = 1
@@ -83,7 +86,7 @@ def _work(
         for fd in unused:
             os.close(fd)
         with open(write, "wb") as pipe:
-            pickle.dump(_outcomes(fn, items), pipe, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(list(outcomes), pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
     except Exception as exc:
         print(f"error: worker {os.getpid()}: {exc}", file=sys.stderr)
@@ -113,16 +116,36 @@ def fork_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
     sys.stdout.flush()
     sys.stderr.flush()
     workers: dict[int, int] = {}  # read end of a worker's pipe -> its pid
-    # both ends of each worker's stop pipe stay open here until the call
-    # returns, so writing to one never fails, whether its worker runs or not
-    stops: list[tuple[int, int]] = []
+    sent: dict[int, bytearray] = {}
+    pipes = select.poll()
+
+    def read_pipes(timeout: int | None) -> None:
+        """Read what has arrived on the pipes within ``timeout`` ms, and reap
+        each worker whose pipe is at its end, so the first to die raises."""
+        for read, _ in pipes.poll(timeout):
+            chunk = os.read(read, 1 << 16)
+            if chunk:
+                sent[read] += chunk
+                continue
+            pipes.unregister(read)
+            pid = workers[read]
+            _, status = os.waitpid(pid, 0)
+            del workers[read]
+            os.close(read)
+            code = os.waitstatus_to_exitcode(status)
+            if code < 0:
+                raise ReviewgenError(
+                    f"worker {pid} was killed by signal {-code} "
+                    f"({signal.strsignal(-code)})"
+                )
+            if code:
+                raise ReviewgenError(f"worker {pid} exited with status {code}")
+
+    # the caller runs item 0 itself, so the counter starts at 1
+    counter = os.memfd_create("fork_map")
     try:
-        for w in range(1, processes):
-            stop_read, stop_write = os.pipe()
-            stops.append((stop_read, stop_write))
-            os.set_blocking(stop_read, False)
-            # made before the fork, so the child cannot raise into this code
-            dealt = _until_stopped(stop_read, items[w::processes], w, processes)
+        os.pwrite(counter, (1).to_bytes(8, "little"), 0)
+        for _ in range(1, processes):
             read, write = os.pipe()
             # SIGINT is held off until the new worker is on the list, so
             # Ctrl-C cannot leave it unlisted, and it stays blocked in the
@@ -131,47 +154,22 @@ def fork_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    others = [fd for pair in stops[:-1] for fd in pair]
-                    _work(write, [read, stop_write, *workers, *others], fn, dealt)
+                    _work(write, [read, *workers], _outcomes(fn, items, counter, None))
                 workers[read] = pid
+                sent[read] = bytearray()
+                pipes.register(read, select.POLLIN)
             except OSError:  # no worker was forked to own the read end
                 os.close(read)
                 raise
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 os.close(write)
-        outcomes = [_outcomes(fn, items[::processes])]
-        if isinstance(outcomes[0][-1], Exception):
-            # the caller stops at its first failing item, j; no later item
-            # can matter, and each worker runs every earlier one
-            failed = (len(outcomes[0]) - 1) * processes
-            for _, stop in stops:
-                os.write(stop, failed.to_bytes(8, "little"))
-        # every pipe is read as its bytes arrive, so the first worker to
-        # die is reaped, and raises, whichever one it is
-        sent = {read: bytearray() for read in workers}
-        pipes = select.poll()
-        for read in workers:
-            pipes.register(read, select.POLLIN)
+        outcomes: dict[int, Any] = {}
+        for i, outcome in _outcomes(fn, items, counter, 0):
+            outcomes[i] = outcome
+            read_pipes(0)
         while workers:
-            for read, _ in pipes.poll():
-                chunk = os.read(read, 1 << 16)
-                if chunk:
-                    sent[read] += chunk
-                    continue
-                pipes.unregister(read)
-                pid = workers[read]
-                _, status = os.waitpid(pid, 0)
-                del workers[read]
-                os.close(read)
-                code = os.waitstatus_to_exitcode(status)
-                if code < 0:
-                    raise ReviewgenError(
-                        f"worker {pid} was killed by signal {-code} "
-                        f"({signal.strsignal(-code)})"
-                    )
-                if code:
-                    raise ReviewgenError(f"worker {pid} exited with status {code}")
+            read_pipes(None)
     except BaseException:
         for read, pid in workers.items():
             os.kill(pid, signal.SIGKILL)
@@ -179,16 +177,16 @@ def fork_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
             os.close(read)
         raise
     finally:
-        for pair in stops:
-            for fd in pair:
-                os.close(fd)
-    outcomes.extend(pickle.loads(data) for data in sent.values())  # worker order
-    # a process stops at its first failing item, and a worker runs no item
-    # after the caller's failing item j, so scanning in item order raises a
-    # failure, at j at the latest, before reaching an item a process skipped
+        os.close(counter)
+    for data in sent.values():
+        outcomes.update(pickle.loads(data))
+    # every process runs each item it takes, and the counter deals items
+    # in order, so every item before the last one taken has an outcome; a
+    # failing item stops the dealing, so scanning in item order raises a
+    # failure before reaching an item that no process took
     results = []
     for i in range(len(items)):
-        outcome = outcomes[i % processes][i // processes]
+        outcome = outcomes[i]
         if isinstance(outcome, Exception):
             raise outcome
         results.append(outcome)

@@ -4,15 +4,12 @@ The backward pass runs forward_trace in reverse: softmax/cross-entropy
 head, the evidence tanh layer, attention pooling, then backpropagation
 through time over the GRU unroll and into the embedding rows. Only the
 recurrent products with U_h^T and [U_z; U_r]^T stay inside the time loop,
-which records every step's gate deltas in one T x 3d_h array. Each step
-writes its row of that array in place, and builds its state gradient in
-the spent row of the next state's, with one d_h-sized scratch vector that
-every step reuses. The stacked GRU weight and bias gradients and the input
-gradient dx = da [W_z; W_r; W_h] are then matrix products over all
-timesteps at once. The gradients are new arrays on every call. The
-finite-difference harness perturbs every scalar parameter centrally and is
-the independent oracle for all of it; tests/synth.py keeps a step-by-step
-reference.
+which records every step's gate deltas in one T x 3d_h array. The stacked
+GRU weight and bias gradients and the input gradient dx = da [W_z; W_r; W_h]
+are then matrix products over all timesteps at once. The gradients are new
+arrays on every call. The finite-difference harness perturbs every scalar
+parameter centrally and is the independent oracle for all of it;
+tests/synth.py keeps a step-by-step reference.
 """
 
 from __future__ import annotations
@@ -89,25 +86,13 @@ def backward(
     carry = 1.0 - z
     da = np.empty((t_len, 3 * d_h))  # [da_z | da_r | da_h] per step
     da_zr, da_h = da[:, : 2 * d_h], da[:, 2 * d_h :]
-    u_h_t, u_zr_t = params.u_h.T, params.u_zr.T
-    scratch = np.empty(d_h)
-    # each step writes its row of da in place and adds
-    #   (dh * carry + d_rh * r) + U_zr^T da_zr
-    # to d_hidden[s]; d_rh = U_h^T da_h waits in the da_r slot until it is
-    # scaled there, and the sum is built in the row of dh, which is spent
     for s in range(t_len - 1, -1, -1):
-        dh, a_zr, a_h = d_hidden[s + 1], da_zr[s], da_h[s]
-        a_z, a_r = a_zr[:d_h], a_zr[d_h:]
-        np.multiply(dh, dh_gain[s], out=a_h)
-        np.matmul(u_h_t, a_h, out=a_r)
-        np.multiply(dh, dz_gain[s], out=a_z)
-        np.multiply(dh, carry[s], out=dh)
-        np.multiply(a_r, r[s], out=scratch)
-        np.add(dh, scratch, out=dh)
-        np.multiply(a_r, dr_gain[s], out=a_r)
-        np.matmul(u_zr_t, a_zr, out=scratch)
-        np.add(dh, scratch, out=dh)
-        np.add(d_hidden[s], dh, out=d_hidden[s])
+        dh = d_hidden[s + 1]
+        da_h[s] = dh * dh_gain[s]
+        d_rh = params.u_h.T @ da_h[s]
+        da_zr[s, :d_h] = dh * dz_gain[s]
+        da_zr[s, d_h:] = d_rh * dr_gain[s]
+        d_hidden[s] += dh * carry[s] + d_rh * r[s] + params.u_zr.T @ da_zr[s]
 
     grads["w_in"] = da.T @ trace.x
     grads["b_in"] = da.sum(axis=0)

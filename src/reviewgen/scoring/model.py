@@ -18,9 +18,7 @@ U_h kept alone. The input terms W x_t + b of all three gates do not depend
 on the state, so forward_trace computes them for every timestep in one
 matrix product with w_in before the time loop. Each step then does only the
 recurrent work: one product with u_zr, one sigmoid over both gates, and
-U_h (r_t * h_{t-1}) (Appleyard et al., arXiv:1604.01946). It writes into its
-own rows of the gate, candidate and state arrays that the trace keeps, and
-through one d_h-sized scratch vector that every step reuses.
+U_h (r_t * h_{t-1}) (Appleyard et al., arXiv:1604.01946).
 """
 
 from __future__ import annotations
@@ -213,26 +211,10 @@ def forward_trace(
     zr = np.zeros((t_len, 2 * d_h))
     z, r = zr[:, :d_h], zr[:, d_h:]
     h_tilde = np.zeros((t_len, d_h))
-    u_zr, u_h = params.u_zr, params.u_h
-    scratch = np.empty(d_h)
-    # each step writes its rows of zr, h_tilde and h in place; the
-    # operands and their order are those of
-    #   zr_t = sigmoid(x_zr_t + U_zr h_{t-1})
-    #   h~_t = tanh(x_h_t + U_h (r_t * h_{t-1}))
-    #   h_t = (1 - z_t) * h_{t-1} + z_t * h~_t
     for t in range(t_len):
-        h_prev, h_next, zr_t, cand = h[t], h[t + 1], zr[t], h_tilde[t]
-        np.matmul(u_zr, h_prev, out=zr_t)
-        np.add(x_zr[t], zr_t, out=zr_t)
-        zr_t[...] = sigmoid(zr_t)
-        np.multiply(r[t], h_prev, out=scratch)
-        np.matmul(u_h, scratch, out=cand)
-        np.add(x_h[t], cand, out=cand)
-        np.tanh(cand, out=cand)
-        np.subtract(1.0, z[t], out=h_next)
-        np.multiply(h_next, h_prev, out=h_next)
-        np.multiply(z[t], cand, out=scratch)
-        np.add(h_next, scratch, out=h_next)
+        zr[t] = sigmoid(x_zr[t] + params.u_zr @ h[t])
+        h_tilde[t] = np.tanh(x_h[t] + params.u_h @ (r[t] * h[t]))
+        h[t + 1] = (1.0 - z[t]) * h[t] + z[t] * h_tilde[t]
 
     att_u = np.tanh(h[1:] @ params.w_att.T)  # T x d_a
     scores = att_u @ params.v_att

@@ -8,6 +8,7 @@ import errno
 import os
 import pickle
 import re
+import select
 import time
 
 import pytest
@@ -47,28 +48,61 @@ def _fail_on(*bad: int):
     return fn
 
 
+def _read_byte(fd: int) -> None:
+    # bounded, so that a process left waiting fails the test, not hangs it
+    assert select.select([fd], [], [], 20)[0], "no byte within 20 s"
+    os.read(fd, 1)
+
+
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_results_in_item_order(cpus, count):
+    # each process's first item waits until every process has started one:
+    # the caller's item 0 waits for a byte from each worker's first item,
+    # then writes the byte that lets each of them go on
     cpus(count)
-    results = fork_map(_pid_of, range(40))
+    caller = os.getpid()
+    arrived, arrive = os.pipe()
+    released, release = os.pipe()
+    first = {caller}
+
+    def fn(item: int) -> tuple[int, int]:
+        if os.getpid() == caller and item == 0:
+            for _ in range(count - 1):
+                _read_byte(arrived)
+            os.write(release, b"x" * (count - 1))
+        elif os.getpid() not in first:
+            first.add(os.getpid())
+            os.write(arrive, b"x")
+            _read_byte(released)
+        return _pid_of(item)
+
+    try:
+        results = fork_map(fn, range(40))
+    finally:
+        for fd in (arrived, arrive, released, release):
+            os.close(fd)
     assert [item for item, _ in results] == list(range(40))
-    pids = {pid for _, pid in results}
-    assert os.getpid() in pids
-    assert len(pids) == count
+    assert results[0] == (0, caller)
+    assert len({pid for _, pid in results}) == count
 
 
-def test_caller_takes_every_wth_block(cpus):
-    cpus(2)
-    pids = [pid for _, pid in fork_map(_pid_of, range(7))]
-    assert [pid == os.getpid() for pid in pids] == [i % 2 == 0 for i in range(7)]
+def test_every_item_runs_once_with_more_processes_than_cpus(cpus, tmp_path):
+    # each process appends the items it runs to one log, in single writes;
+    # two processes that took the same number from the counter would both
+    # log it
+    cpus(5)
+    log = os.open(tmp_path / "ran", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
+    def fn(item: int) -> int:
+        os.write(log, f"{item}\n".encode())
+        return item
 
-def test_item_runs_where_item_mod_w_runs(cpus):
-    cpus(3)
-    pids = [pid for _, pid in fork_map(_pid_of, range(40))]
-    assert pids[0] == os.getpid()
-    assert len(set(pids[:3])) == 3
-    assert pids == [pids[i % 3] for i in range(40)]
+    try:
+        assert fork_map(fn, range(3000)) == list(range(3000))
+    finally:
+        os.close(log)
+    ran = sorted(map(int, (tmp_path / "ran").read_text().split()))
+    assert ran == list(range(3000))
 
 
 @pytest.mark.parametrize("count", [1, 2])
@@ -98,8 +132,8 @@ def test_each_process_stops_at_its_first_failing_item(cpus):
 
 
 def test_worker_stops_once_the_caller_has_failed(cpus, tmp_path):
-    # the worker runs items 1, 3, ..., 19 and logs each one it starts;
-    # only items before the caller's failing item 0 could matter
+    # the worker logs each item it starts; only items before the caller's
+    # failing item 0 could matter
     cpus(2)
     log = tmp_path / "started"
     log.write_text("")
@@ -115,6 +149,27 @@ def test_worker_stops_once_the_caller_has_failed(cpus, tmp_path):
     with pytest.raises(ValueError, match="item 0"):
         fork_map(fn, range(20))
     assert len(log.read_text().split()) <= 2
+
+
+def test_caller_stops_once_a_worker_has_failed(cpus):
+    # the items each process ran are recorded in its own memory, so only
+    # the caller's show here; only items before the worker's failing item
+    # could matter
+    cpus(2)
+    caller = os.getpid()
+    ran = []
+
+    def fn(item: int) -> int:
+        if os.getpid() != caller:
+            raise ValueError(f"item {item}")
+        ran.append(item)
+        time.sleep(0.05)
+        return item
+
+    with pytest.raises(ValueError, match=r"item \d+"):
+        fork_map(fn, range(20))
+    assert ran[0] == 0
+    assert len(ran) <= 2
 
 
 def test_empty_and_single(cpus):
@@ -155,12 +210,14 @@ def test_workers_reaped_after_results_and_after_errors(cpus):
 
 @pytest.mark.parametrize("count", [2, 3])
 def test_killed_worker_raises_at_once(count):
-    # the last worker kills itself on its first item; every other worker
-    # would sleep for a minute, and is killed and reaped instead
+    # the caller's item 0 waits until a worker has exited, so a worker,
+    # never the caller, takes item 1, and it kills itself; every other
+    # worker would sleep for a minute, and is killed and reaped instead
     code = (
         "def fn(item):\n"
-        "    if item == int(sys.argv[1]) - 1: os.kill(os.getpid(), signal.SIGKILL)\n"
-        "    if os.getpid() != caller: time.sleep(60)\n"
+        "    if os.getpid() == caller: os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)\n"
+        "    elif item == 1: os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    else: time.sleep(60)\n"
         "    return item\n"
     )
     result = run_bounded(_FORK_MAP_ON_CPUS, count, code, seconds=20)
@@ -169,6 +226,25 @@ def test_killed_worker_raises_at_once(count):
         r"ReviewgenError worker \d+ was killed by signal 9 \(Killed\)\n", result.stdout
     )
     assert result.stderr == ""
+
+
+def test_dead_worker_noticed_between_the_callers_items():
+    # each of the caller's items waits until a worker has exited, and the
+    # worker kills itself on its first item; the caller notices before it
+    # starts another item, where it would otherwise go on through them all
+    code = (
+        "def fn(item):\n"
+        "    if os.getpid() != caller: os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    print(item, file=sys.stderr)\n"
+        "    os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)\n"
+        "    return item\n"
+    )
+    result = run_bounded(_FORK_MAP_ON_CPUS, 2, code, seconds=20)
+    assert result.returncode == 0, result.stderr
+    assert re.fullmatch(
+        r"ReviewgenError worker \d+ was killed by signal 9 \(Killed\)\n", result.stdout
+    )
+    assert result.stderr == "0\n"
 
 
 def test_ctrl_c_kills_and_reaps_every_worker():
