@@ -127,7 +127,6 @@ from reviewgen.scoring import (
     backward,
     category_sentences,
     evaluate,
-    forward,
     gradient_check,
     load_model,
     predict_scores,

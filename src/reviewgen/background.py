@@ -74,10 +74,10 @@ class PaperRef(NamedTuple):
 class BackgroundIndex:
     """Element postings over all corpus papers published before the cutoff.
 
-    ``n_papers`` counts every pre-cutoff paper, including papers that
-    contribute no elements; ``year_counts`` records how many papers were
-    counted per publication year so the index can later be narrowed to an
-    earlier cutoff without rescanning the corpus.
+    ``year_counts`` records how many pre-cutoff papers were counted per
+    publication year, including papers that contribute no elements, so the
+    index can later be narrowed to an earlier cutoff without rescanning the
+    corpus; ``n_papers`` is their sum.
 
     No posting tuple is empty: ``build_index`` never makes one,
     ``restrict`` drops a key whose papers all fall at or after the new
@@ -85,9 +85,12 @@ class BackgroundIndex:
     """
 
     cutoff_year: int
-    n_papers: int
     year_counts: dict[int, int]
     postings: dict[ElementKey, tuple[PaperRef, ...]]
+
+    @property
+    def n_papers(self) -> int:
+        return sum(self.year_counts.values())
 
     @cached_property
     def _lookup(self) -> tuple[dict, dict, dict]:
@@ -203,7 +206,6 @@ def build_index(
 
     return BackgroundIndex(
         cutoff_year=cutoff_year,
-        n_papers=sum(year_counts.values()),
         year_counts=year_counts,
         postings={key: tuple(refs) for key, refs in postings.items()},
     )
@@ -225,7 +227,6 @@ def restrict(index: BackgroundIndex, cutoff_year: int) -> BackgroundIndex:
             postings[key] = kept
     return BackgroundIndex(
         cutoff_year=cutoff_year,
-        n_papers=sum(year_counts.values()),
         year_counts=year_counts,
         postings=postings,
     )
@@ -337,7 +338,7 @@ def save_index(index: BackgroundIndex, path: str | Path) -> None:
                 f'["edge", {enc(" ".join(head))}, {enc(relation.value)}, '
                 f'{enc(" ".join(tail))}, [[{refs}]]]'
             )
-    _write_atomic(path, "\n".join(lines) + "\n")
+    _write_atomic(path, ("\n".join(lines), "\n"))
 
 
 def load_index(path: str | Path) -> BackgroundIndex:
@@ -403,7 +404,6 @@ def load_index(path: str | Path) -> BackgroundIndex:
         )
     return BackgroundIndex(
         cutoff_year=cutoff_year,
-        n_papers=n_papers,
         year_counts=year_counts,
         postings=_load_rows(body, str(path), cutoff_year, year_counts, n_papers),
     )

@@ -165,15 +165,17 @@ def _prepare_labeled(
             f"labels name papers not in the corpus: {', '.join(unknown)}"
         )
     papers = [p for p in corpus if p.paper_id in by_id]
-    restricted: dict[int, BackgroundIndex] = {}  # one index per effective cutoff
-    bundles = {}
-    targets = {}
+    targets = {p.paper_id: target_scores(by_id[p.paper_id]) for p in papers}
+    by_cutoff: dict[int, list[PaperRecord]] = {}
     for paper in papers:
-        effective = _effective_cutoff(index, paper, cutoff)
-        if effective not in restricted:
-            restricted[effective] = restrict(index, effective)
-        bundles[paper.paper_id] = build_bundle(paper, restricted[effective])
-        targets[paper.paper_id] = target_scores(by_id[paper.paper_id])
+        by_cutoff.setdefault(_effective_cutoff(index, paper, cutoff), []).append(paper)
+    bundles = {}
+    for effective in sorted(by_cutoff):
+        # one restricted index, with the lookup it builds, is alive at a time
+        restricted = restrict(index, effective)
+        for paper in by_cutoff[effective]:
+            bundles[paper.paper_id] = build_bundle(paper, restricted)
+        del restricted
     return papers, bundles, targets
 
 
@@ -206,6 +208,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         if not dataset:
             raise ValidationError(f"no labeled examples for category {category.value}")
         jobs.append((category, vocab, dataset))
+
+    # training reads only the jobs; freeing the rest lowers every trainer's peak
+    del corpus, labels, index, papers, bundles, targets, sequences
 
     model_dir = Path(args.models)
     created = [d for d in (model_dir, *model_dir.parents) if not d.exists()]

@@ -209,8 +209,8 @@ def _naming(path: Path) -> Iterator[None]:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to a temp file beside ``path``, then rename it over ``path``.
+def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to a temp file beside ``path``, then rename it over ``path``.
 
     The file gets the mode a plain ``open`` would give it (0o666 less the
     umask), not the 0o600 of ``mkstemp``, which the rename would keep. An
@@ -223,7 +223,7 @@ def _write_atomic(path: Path, text: str) -> None:
                 umask = os.umask(0)
                 os.umask(umask)
                 os.fchmod(handle.fileno(), 0o666 & ~umask)
-                handle.write(text)
+                handle.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

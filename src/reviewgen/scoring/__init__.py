@@ -10,7 +10,6 @@ from reviewgen.scoring.model import (
     ModelParams,
     PROB_FLOOR,
     TrainConfig,
-    forward,
     forward_trace,
     init_params,
     loss,

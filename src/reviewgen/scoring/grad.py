@@ -1,6 +1,6 @@
 """Exact analytic gradients for the classifier, with a finite-difference check.
 
-The backward pass runs forward_trace in reverse: softmax/cross-entropy
+The backward pass runs the trace it is given in reverse: softmax/cross-entropy
 head, the evidence tanh layer, attention pooling, then backpropagation
 through time over the GRU unroll and into the embedding rows. Only the
 recurrent products with U_h^T and [U_z; U_r]^T stay inside the time loop,
@@ -9,6 +9,7 @@ GRU weight and bias gradients and the input gradient dx = da [W_z; W_r; W_h]
 are then matrix products over all timesteps at once. The gradients are new
 arrays on every call. The finite-difference harness perturbs every scalar
 parameter centrally and is the independent oracle for all of it;
+gradient_check compares the two on one traced example, and
 tests/synth.py keeps a step-by-step reference.
 """
 
@@ -30,16 +31,9 @@ from reviewgen.scoring.model import (
 Gradients = dict[str, "np.ndarray"]  # a string, so numpy is not loaded here
 
 
-def backward(
-    token_ids: Sequence[int],
-    features: np.ndarray,
-    target: int,
-    params: ModelParams,
-    trace: ForwardTrace | None = None,
-) -> Gradients:
-    """Gradients of the cross-entropy loss w.r.t. every parameter block."""
-    if trace is None:
-        trace = forward_trace(token_ids, features, params)
+def backward(trace: ForwardTrace, target: int, params: ModelParams) -> Gradients:
+    """Gradients of the cross-entropy loss w.r.t. every parameter block, at
+    the parameters ``trace`` was computed with."""
     probs = trace.probs
     if probs[target] < PROB_FLOOR:
         return params.zeros_like()  # loss is clamped flat here
@@ -159,6 +153,6 @@ def gradient_check(
     features = rng.normal(size=params.w_ev.shape[1])
     target = int(rng.integers(0, num_classes))
 
-    analytic = backward(token_ids, features, target, params)
+    analytic = backward(forward_trace(token_ids, features, params), target, params)
     numeric = finite_difference_grads(token_ids, features, target, params, epsilon)
     return max_relative_error(analytic, numeric)

@@ -191,8 +191,11 @@ class ForwardTrace:
 def forward_trace(
     token_ids: Sequence[int], features: np.ndarray, params: ModelParams
 ) -> ForwardTrace:
+    """The forward pass for one example, with the intermediates backward
+    needs; ``probs`` is the class probability vector (sums to 1, strictly
+    positive)."""
     if len(token_ids) == 0:
-        raise EmptySequenceError("forward() requires a non-empty token sequence")
+        raise EmptySequenceError("forward_trace() requires a non-empty token sequence")
     features = np.asarray(features, dtype=np.float64)
     if features.shape != (FEATURE_DIM,):
         raise ShapeMismatchError(
@@ -238,13 +241,6 @@ def forward_trace(
         ev_hidden=ev_hidden,
         probs=probs,
     )
-
-
-def forward(
-    token_ids: Sequence[int], features: np.ndarray, params: ModelParams
-) -> np.ndarray:
-    """Class probability vector for one example (sums to 1, strictly positive)."""
-    return forward_trace(token_ids, features, params).probs
 
 
 def loss(probs: np.ndarray, target: int) -> float:

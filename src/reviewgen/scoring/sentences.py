@@ -60,7 +60,7 @@ def category_sentences(
     paper: PaperRecord,
     bundle: EvidenceBundle,
     category: Category,
-    max_seq_len: int = 128,
+    max_seq_len: int,
 ) -> tuple[str, ...]:
     """Token sequence for one category: evidence sentences or the abstract.
 

@@ -18,6 +18,7 @@ import base64
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -42,7 +43,6 @@ from reviewgen.scoring.grad import backward
 from reviewgen.scoring.model import (
     ModelParams,
     TrainConfig,
-    forward,
     forward_trace,
     loss,
     init_params,
@@ -211,7 +211,7 @@ def train(
                 total_loss += step_loss
                 correct += int(np.argmax(trace.probs)) == ex.target
                 step += 1
-                grads = backward(ids, ex.features, ex.target, params, trace)
+                grads = backward(trace, ex.target, params)
                 _adam_step(params, grads, m, v, step, config.learning_rate, scratch)
                 # neither this step's trace nor its gradients outlive it, so
                 # the next step does not allocate its own beside them
@@ -237,7 +237,7 @@ def _category_probs(
 ) -> np.ndarray:
     tokens = category_sentences(paper, bundle, category, model.max_seq_len)
     token_ids = model.vocab.encode(tokens)
-    return forward(token_ids, bundle.features, model.params)
+    return forward_trace(token_ids, bundle.features, model.params).probs
 
 
 def predict_scores(
@@ -331,7 +331,10 @@ def save_model(model: ScoreModel, path: str | Path) -> None:
         "vocab": model.vocab.to_list(),
         "params": {name: _encode_array(arr) for name, arr in model.params.items()},
     }
-    _write_atomic(Path(path), json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    # streamed, not joined: a freed model-sized string would raise glibc's
+    # mmap threshold, and training's arrays would then grow the heap
+    text = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+    _write_atomic(Path(path), chain(text, ["\n"]))
 
 
 def load_model(path: str | Path) -> ScoreModel:

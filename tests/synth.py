@@ -595,7 +595,7 @@ def oracle_train(dataset, vocab_size: int, config, num_classes: int = 5):
                 ex = data[i]
                 ids = ex.token_ids[: config.max_seq_len]
                 trace = forward_trace(ids, ex.features, params)
-                grads = backward(ids, ex.features, ex.target, params, trace)
+                grads = backward(trace, ex.target, params)
                 total = sum(float(np.sum(g * g)) for g in grads.values())
                 norm = math.sqrt(total)
                 if norm > CLIP_NORM:

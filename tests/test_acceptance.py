@@ -36,7 +36,7 @@ from reviewgen.kg import (
 )
 from reviewgen.review import Polarity, select_polarity
 from reviewgen.scoring.grad import gradient_check
-from reviewgen.scoring.model import TrainConfig, forward
+from reviewgen.scoring.model import TrainConfig, forward_trace
 from reviewgen.scoring.train import load_model, save_model, train
 from reviewgen.background import tfidf as index_tfidf
 
@@ -198,7 +198,6 @@ def test_criterion_05_tfidf_oracle():
         graph = graph_with_counts(tf_count, other)
         index = BackgroundIndex(
             cutoff_year=2018,
-            n_papers=n,
             year_counts={2000: n},
             postings=(
                 {key: tuple(PaperRef(f"B{i}", 2000) for i in range(df))}
@@ -243,7 +242,8 @@ def test_criterion_07_learnability():
     for (_, a), (_, b) in zip(first.items(), second.items()):
         np.testing.assert_array_equal(a, b)
     hits = sum(
-        int(np.argmax(forward(ex.token_ids, ex.features, first))) == ex.target
+        int(np.argmax(forward_trace(ex.token_ids, ex.features, first).probs))
+        == ex.target
         for ex in dataset
     )
     accuracy = hits / len(dataset)

@@ -1,8 +1,9 @@
-"""Mutation fuzzing of the files that ``review`` reads.
+"""Mutation fuzzing of the files that ``review``, ``train`` and ``evaluate``
+read.
 
 A mutated index or model file must give exit code 0 (the file is still
-valid) or 3 (bad artifact); a mutated paper or template file must give 0
-or 2 (bad input). Any other code, an uncaught exception or a traceback
+valid) or 3 (bad artifact); a mutated paper, template or labels file must
+give 0 or 2 (bad input). Any other code, an uncaught exception or a traceback
 breaks the CLI's exit-code contract. An index edited to break one of the
 invariants the builder guarantees must give 3. An index with mutated rows
 must load, or fail with the same message, as it does through
@@ -32,6 +33,7 @@ from synth import assert_loads_as_oracle
 PAPER = TOY_DIR / "papers" / "P05.json"
 P12 = TOY_DIR / "papers" / "P12.json"
 TEMPLATES = TOY_DIR.parent / "templates" / "default.json"
+LABELS = TOY_DIR / "labels.json"
 
 FUZZ = settings(max_examples=60, derandomize=True, deadline=None, database=None)
 
@@ -43,8 +45,9 @@ JSON_VALUES = st.recursive(
 )
 
 
-def mutate_json(data, node) -> None:
-    """Replace, delete or insert one value at a random depth of ``node``."""
+def mutate_json(data, node, values=JSON_VALUES) -> None:
+    """Replace, delete or insert one of ``values`` at a random depth of
+    ``node``."""
     while True:
         keys = sorted(node) if isinstance(node, dict) else list(range(len(node)))
         if not keys:
@@ -58,22 +61,26 @@ def mutate_json(data, node) -> None:
         if action == "delete":
             del node[key]
         elif action == "insert" and isinstance(node, list):
-            node.insert(key, data.draw(JSON_VALUES))
+            node.insert(key, data.draw(values))
         else:
-            node[key] = data.draw(JSON_VALUES)
+            node[key] = data.draw(values)
         return
 
 
-def review_exit_code(index, models, paper=PAPER, templates=None) -> int:
-    argv = ["review", str(paper), "--index", str(index), "--models", str(models),
-            "--format", "json"]
-    if templates is not None:
-        argv += ["--templates", str(templates)]
+def exit_code(*argv) -> int:
+    """Run the CLI in process; it must exit without a traceback."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = main([str(a) for a in argv])
     assert "Traceback" not in err.getvalue()
     return code
+
+
+def review_exit_code(index, models, paper=PAPER, templates=None) -> int:
+    argv = ["review", paper, "--index", index, "--models", models, "--format", "json"]
+    if templates is not None:
+        argv += ["--templates", templates]
+    return exit_code(*argv)
 
 
 @pytest.fixture(scope="module")
@@ -308,4 +315,39 @@ def test_mutated_templates_review_or_exit_2(trained, fresh, data):
     path = fresh("templates.json")
     path.write_text(json.dumps(templates), encoding="utf-8")
     code = review_exit_code(trained["index"], trained["models"], P12, path)
+    assert code in (0, 2)
+
+
+# scores in and just out of range, and paper ids, often: a labels file that
+# stays valid JSON then often still loads
+LABEL_VALUES = (
+    st.integers(0, 6) | st.sampled_from([f"P{i:02d}" for i in range(1, 14)])
+    | JSON_VALUES
+)
+
+
+def mutated_labels(data, fresh):
+    labels = json.loads(LABELS.read_text(encoding="utf-8"))
+    mutate_json(data, labels, LABEL_VALUES)
+    path = fresh("labels.json")
+    path.write_text(json.dumps(labels), encoding="utf-8")
+    return path
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_labels_evaluate_or_exit_2(trained, fresh, data):
+    labels = mutated_labels(data, fresh)
+    code = exit_code("evaluate", labels, "--corpus", TOY_DIR / "papers",
+                     "--index", trained["index"], "--models", trained["models"])
+    assert code in (0, 2)
+
+
+@settings(FUZZ, max_examples=10)
+@given(data=st.data())
+def test_mutated_labels_train_or_exit_2(trained, fresh, data):
+    labels = mutated_labels(data, fresh)
+    code = exit_code("train", labels, "--corpus", TOY_DIR / "papers",
+                     "--index", trained["index"], "--models", fresh("models"),
+                     "--epochs", 1)
     assert code in (0, 2)

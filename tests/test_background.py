@@ -191,7 +191,7 @@ def small_index_queries(draw) -> tuple[BackgroundIndex, list[ElementKey]]:
         j = draw(st.integers(i + 1, len(k.head)))
         longer = draw(SMALL_TEXT) + k.head + draw(SMALL_TEXT)
         queries += [k._replace(head=k.head[i:j]), k._replace(head=longer)]
-    return BackgroundIndex(2018, len(papers), {}, postings), queries
+    return BackgroundIndex(2018, {2010: 2, 2011: 2, 2012: 1}, postings), queries
 
 
 class TestMatchElement:
@@ -268,8 +268,7 @@ class TestMatchElement:
         }
         index = BackgroundIndex(
             cutoff_year=2018,
-            n_papers=len(papers),
-            year_counts={},
+            year_counts={year: 4 for year in range(2000, 2015)},
             postings={
                 k: tuple(sorted(rng.sample(papers, rng.randint(1, 4))))
                 for k in sorted(keys, key=ElementKey.sort_key)
@@ -357,7 +356,6 @@ class TestTfidf:
         postings = {key: refs} if df else {}
         return BackgroundIndex(
             cutoff_year=2018,
-            n_papers=n_papers,
             year_counts={2000: n_papers},
             postings=postings,
         )
@@ -752,7 +750,7 @@ def awkward_indexes(draw) -> BackgroundIndex:
     year_counts: dict[int, int] = {}
     for year in years.values():
         year_counts[year] = year_counts.get(year, 0) + 1
-    return BackgroundIndex(2018, len(years), year_counts, postings)
+    return BackgroundIndex(2018, year_counts, postings)
 
 
 class TestRowEncoding:

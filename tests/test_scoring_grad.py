@@ -66,18 +66,10 @@ class TestBackward:
 
     def test_covers_every_block(self):
         params = self.params()
-        grads = backward([0, 1], np.ones(17), 2, params)
+        grads = backward(forward_trace([0, 1], np.ones(17), params), 2, params)
         assert sorted(grads) == sorted(BLOCK_NAMES)
         for name, arr in params.items():
             assert grads[name].shape == arr.shape
-
-    def test_accepts_precomputed_trace(self):
-        params = self.params()
-        trace = forward_trace([0, 1, 2], np.ones(17), params)
-        with_trace = backward([0, 1, 2], np.ones(17), 1, params, trace=trace)
-        without = backward([0, 1, 2], np.ones(17), 1, params)
-        for name in with_trace:
-            np.testing.assert_array_equal(with_trace[name], without[name])
 
     def test_clamped_loss_has_zero_gradient(self):
         """Below the probability floor the loss is constant, so grads vanish."""
@@ -86,13 +78,13 @@ class TestBackward:
         params.b_out[0] = 80.0  # class 0 takes virtually all mass
         trace = forward_trace([0], np.zeros(17), params)
         assert trace.probs[3] < 1e-12
-        grads = backward([0], np.zeros(17), 3, params, trace=trace)
+        grads = backward(trace, 3, params)
         for arr in grads.values():
             np.testing.assert_array_equal(arr, 0.0)
 
     def test_untouched_embedding_rows_have_zero_grad(self):
         params = self.params()
-        grads = backward([1, 1, 4], np.ones(17), 0, params)
+        grads = backward(forward_trace([1, 1, 4], np.ones(17), params), 0, params)
         used = {1, 4}
         for row in range(params.vocab_size):
             if row not in used:
@@ -104,7 +96,8 @@ class TestBackward:
         """Row gradient for a repeated token is the sum over its positions."""
         params = self.params()
         features = np.ones(17)
-        base = backward([1, 1], features, 0, params)["embed"][1]
+        trace = forward_trace([1, 1], features, params)
+        base = backward(trace, 0, params)["embed"][1]
         # finite differences see the same accumulation
         numeric = finite_difference_grads([1, 1], features, 0, params)
         np.testing.assert_allclose(
@@ -145,7 +138,7 @@ class TestOracleBackward:
         target = int(rng.integers(0, 5))
         trace = forward_trace(token_ids, features, params)
 
-        batched = backward(token_ids, features, target, params, trace)
+        batched = backward(trace, target, params)
         expected = oracle_backward(trace, target, params)
         assert sorted(batched) == sorted(expected)
         for name in BLOCK_NAMES:

@@ -11,7 +11,6 @@ from reviewgen.errors import EmptySequenceError, ShapeMismatchError
 from reviewgen.scoring.model import (
     ModelParams,
     TrainConfig,
-    forward,
     forward_trace,
     init_params,
     loss,
@@ -133,7 +132,7 @@ class TestScalarOracle:
             t_len = int(rng.integers(1, 7))
             token_ids = [int(v) for v in rng.integers(0, p.vocab_size, t_len)]
             features = rng.normal(size=17)
-            got = forward(token_ids, features, p)
+            got = forward_trace(token_ids, features, p).probs
             want = s_forward(token_ids, features, p)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -197,39 +196,39 @@ class TestAttend:
 class TestForward:
     def test_zero_params_uniform(self):
         p = zero_params(num_classes=5)
-        probs = forward([0, 1, 2], np.zeros(17), p)
+        probs = forward_trace([0, 1, 2], np.zeros(17), p).probs
         np.testing.assert_array_equal(probs, np.full(5, 0.2))
 
     def test_zero_output_head_uniform(self):
         p = small_params(num_classes=5)
         p.w_out[...] = 0.0
         p.b_out[...] = 0.0
-        probs = forward([0, 1], np.ones(17), p)
+        probs = forward_trace([0, 1], np.ones(17), p).probs
         np.testing.assert_allclose(probs, np.full(5, 0.2), rtol=0, atol=1e-15)
 
     def test_distribution(self):
         rng = np.random.default_rng(9)
         p = small_params()
         for _ in range(10):
-            probs = forward([0, 3, 5, 1], rng.normal(size=17), p)
+            probs = forward_trace([0, 3, 5, 1], rng.normal(size=17), p).probs
             assert probs.shape == (5,)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(probs > 0)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(EmptySequenceError):
-            forward([], np.zeros(17), small_params())
+            forward_trace([], np.zeros(17), small_params())
 
     def test_feature_dim_validated(self):
         with pytest.raises(ShapeMismatchError):
-            forward([0], np.zeros(16), small_params())
+            forward_trace([0], np.zeros(16), small_params())
 
     def test_token_range_validated(self):
         p = small_params(vocab=6)
         with pytest.raises(ShapeMismatchError):
-            forward([6], np.zeros(17), p)
+            forward_trace([6], np.zeros(17), p)
         with pytest.raises(ShapeMismatchError):
-            forward([-1], np.zeros(17), p)
+            forward_trace([-1], np.zeros(17), p)
 
     def test_trace_internals(self):
         p = small_params()

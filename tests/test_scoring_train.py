@@ -20,7 +20,7 @@ from reviewgen.errors import (
     ValidationError,
 )
 from reviewgen.evidence import build_bundle
-from reviewgen.scoring.model import TrainConfig, forward, init_params
+from reviewgen.scoring.model import TrainConfig, forward_trace, init_params
 from reviewgen.scoring.train import (
     NUM_SCORE_CLASSES,
     CategoryScore,
@@ -97,7 +97,7 @@ class TestTrain:
         config = TrainConfig(d_w=6, d_h=8, d_a=6, d_e=4, epochs=40,
                              learning_rate=0.02, seed=1)
         params = train([example([3, 4, 5], 3)], 6, config)
-        probs = forward([3, 4, 5], np.zeros(17), params)
+        probs = forward_trace([3, 4, 5], np.zeros(17), params).probs
         assert int(np.argmax(probs)) == 3
 
     def test_empty_dataset_rejected(self):
@@ -176,7 +176,9 @@ class TestTrain:
                   (["known", "baseline"], 0),
                   (["prior", "known"], 0)]
         hits = sum(
-            int(np.argmax(forward(vocab.encode(tokens), np.zeros(17), params)))
+            int(np.argmax(
+                forward_trace(vocab.encode(tokens), np.zeros(17), params).probs
+            ))
             == want
             for tokens, want in probes
         )
