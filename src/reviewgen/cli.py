@@ -21,6 +21,9 @@ directory that train makes inside the models directory; all seven are
 renamed into place only once every one has been trained, and the staging
 directory is removed, with anything a failed run left in it.
 ``taskset -c 0`` keeps a command on one CPU; the output is the same.
+train and evaluate read the labels, every corpus file (keeping only the
+labelled papers), the index, then evaluate's models; the first bad input
+names the error. review drops the index before it reads the models.
 build-background and novelty-timeline never load numpy; the other
 commands load it before they read their inputs.
 """
@@ -46,11 +49,10 @@ from reviewgen.background import (
 from reviewgen.corpus import (
     Category,
     PaperRecord,
-    ReviewLabels,
     SCOREABLE_CATEGORIES,
+    _check_unique_ids,
     _naming,
     corpus_paths,
-    load_corpus,
     load_paper,
     load_review_labels,
     target_scores,
@@ -108,25 +110,11 @@ def _load_artifact(loader, path):
         raise _ArtifactError(f"cannot load {path}: {exc}") from exc
 
 
-def _load_labels(path: str) -> list[ReviewLabels]:
-    labels = load_review_labels(path)
-    if not labels:
-        raise ValidationError(f"labels file {path} contains no entries")
-    return labels
-
-
 def _load_models(model_dir: str) -> dict[Category, ScoreModel]:
     return {
         category: _load_artifact(load_model, Path(model_dir) / f"{category.value}.json")
         for category in SCOREABLE_CATEGORIES
     }
-
-
-def _effective_cutoff(
-    index: BackgroundIndex, paper: PaperRecord, cutoff: int | None
-) -> int:
-    """The cutoff before which work counts for the paper: its year or --cutoff."""
-    return min(index.cutoff_year, cutoff if cutoff is not None else paper.year)
 
 
 def cmd_build_background(args: argparse.Namespace) -> int:
@@ -136,39 +124,15 @@ def cmd_build_background(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_review(args: argparse.Namespace) -> int:
-    paper = load_paper(args.paper)
-    index = _load_artifact(load_index, args.index)
-    index = restrict(index, _effective_cutoff(index, paper, args.cutoff))
-    models = _load_models(args.models)
-    if args.templates is None:
-        templates = default_templates()
-    else:
-        templates = load_templates(args.templates)
-    bundle = build_bundle(paper, index)
-    report = predict_scores(paper, bundle, models)
-    doc = assemble(paper.paper_id, report, bundle, templates)
-    sys.stdout.write(render(doc, args.format))
-    return 0
-
-
-def _prepare_labeled(
-    corpus: list[PaperRecord],
-    labels: list[ReviewLabels],
-    index: BackgroundIndex,
-    cutoff: int | None,
-) -> tuple[list[PaperRecord], dict[str, EvidenceBundle], dict[str, dict[Category, int]]]:
-    by_id = {lab.paper_id: lab for lab in labels}
-    unknown = sorted(by_id.keys() - {p.paper_id for p in corpus})
-    if unknown:
-        raise ValidationError(
-            f"labels name papers not in the corpus: {', '.join(unknown)}"
-        )
-    papers = [p for p in corpus if p.paper_id in by_id]
-    targets = {p.paper_id: target_scores(by_id[p.paper_id]) for p in papers}
+def _bundles(
+    papers: list[PaperRecord], index: BackgroundIndex, cutoff: int | None
+) -> dict[str, EvidenceBundle]:
+    """Bundles keyed by paper id, each against the work before its cutoff:
+    --cutoff, or else the paper's year, and never past the index's."""
     by_cutoff: dict[int, list[PaperRecord]] = {}
     for paper in papers:
-        by_cutoff.setdefault(_effective_cutoff(index, paper, cutoff), []).append(paper)
+        effective = min(index.cutoff_year, paper.year if cutoff is None else cutoff)
+        by_cutoff.setdefault(effective, []).append(paper)
     bundles = {}
     for effective in sorted(by_cutoff):
         # one restricted index, with the lookup it builds, is alive at a time
@@ -176,15 +140,58 @@ def _prepare_labeled(
         for paper in by_cutoff[effective]:
             bundles[paper.paper_id] = build_bundle(paper, restricted)
         del restricted
-    return papers, bundles, targets
+    return bundles
+
+
+def cmd_review(args: argparse.Namespace) -> int:
+    paper = load_paper(args.paper)
+    index = _load_artifact(load_index, args.index)
+    bundle = _bundles([paper], index, args.cutoff)[paper.paper_id]
+    del index  # the models and templates need not sit beside it
+    models = _load_models(args.models)
+    if args.templates is None:
+        templates = default_templates()
+    else:
+        templates = load_templates(args.templates)
+    report = predict_scores(paper, bundle, models)
+    doc = assemble(paper.paper_id, report, bundle, templates)
+    sys.stdout.write(render(doc, args.format))
+    return 0
+
+
+def _labelled(
+    args: argparse.Namespace,
+) -> tuple[list[PaperRecord], dict[str, EvidenceBundle], dict[str, dict[Category, int]]]:
+    """The labelled papers of train and evaluate, in corpus order, with
+    their bundles and target scores. Reads the labels, then every corpus
+    file, then the index; only the labelled papers' records are kept."""
+    labels = load_review_labels(args.labels)
+    if not labels:
+        raise ValidationError(f"labels file {args.labels} contains no entries")
+    by_id = {lab.paper_id: lab for lab in labels}
+    paper_ids = []
+    papers = []
+    for path in corpus_paths(args.corpus):
+        paper = load_paper(path)
+        paper_ids.append(paper.paper_id)
+        if paper.paper_id in by_id:
+            papers.append(paper)
+        del paper  # an unlabelled record is freed before the next file loads
+    # after the loop, so a parse error anywhere wins, as in load_corpus
+    _check_unique_ids(paper_ids)
+    index = _load_artifact(load_index, args.index)
+    unknown = sorted(by_id.keys() - set(paper_ids))
+    if unknown:
+        raise ValidationError(
+            f"labels name papers not in the corpus: {', '.join(unknown)}"
+        )
+    targets = {p.paper_id: target_scores(by_id[p.paper_id]) for p in papers}
+    return papers, _bundles(papers, index, args.cutoff), targets
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = TrainConfig(seed=args.seed, epochs=args.epochs, learning_rate=args.lr)
-    corpus = load_corpus(args.corpus)
-    labels = _load_labels(args.labels)
-    index = _load_artifact(load_index, args.index)
-    papers, bundles, targets = _prepare_labeled(corpus, labels, index, args.cutoff)
+    papers, bundles, targets = _labelled(args)
 
     jobs = []
     for category in SCOREABLE_CATEGORIES:
@@ -210,7 +217,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         jobs.append((category, vocab, dataset))
 
     # training reads only the jobs; freeing the rest lowers every trainer's peak
-    del corpus, labels, index, papers, bundles, targets, sequences
+    del papers, bundles, targets, sequences
 
     model_dir = Path(args.models)
     created = [d for d in (model_dir, *model_dir.parents) if not d.exists()]
@@ -267,12 +274,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.corpus)
-    labels = _load_labels(args.labels)
-    index = _load_artifact(load_index, args.index)
+    papers, bundles, targets = _labelled(args)
     models = _load_models(args.models)
-    papers, bundles, targets = _prepare_labeled(corpus, labels, index, args.cutoff)
-
     reports = [predict_scores(p, bundles[p.paper_id], models) for p in papers]
     metrics = evaluate(reports, targets)
     for category in SCOREABLE_CATEGORIES:

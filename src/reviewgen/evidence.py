@@ -144,13 +144,9 @@ def extract_comparison(
     return entries
 
 
-def recommend_related(
-    entry: ComparisonEntry, k: int = DEFAULT_RECOMMENDATIONS
-) -> list[PaperRef]:
-    """The most recent uncited papers for one comparison entry, capped at k."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return list(entry.uncited[:k])
+def recommend_related(entry: ComparisonEntry) -> list[PaperRef]:
+    """The DEFAULT_RECOMMENDATIONS most recent uncited papers of one entry."""
+    return list(entry.uncited[:DEFAULT_RECOMMENDATIONS])
 
 
 def evidence_features(

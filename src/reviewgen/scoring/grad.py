@@ -29,6 +29,8 @@ from reviewgen.scoring.model import (
 )
 
 Gradients = dict[str, "np.ndarray"]  # a string, so numpy is not loaded here
+FD_EPSILON = 1e-5  # central-difference step
+CHECK_VOCAB_SIZE = 12  # vocabulary of gradient_check's random model
 
 
 def backward(trace: ForwardTrace, target: int, params: ModelParams) -> Gradients:
@@ -102,7 +104,6 @@ def finite_difference_grads(
     features: np.ndarray,
     target: int,
     params: ModelParams,
-    epsilon: float = 1e-5,
 ) -> Gradients:
     """Central finite differences over every scalar parameter."""
     grads = params.zeros_like()
@@ -112,12 +113,12 @@ def finite_difference_grads(
         for _ in it:
             idx = it.multi_index
             original = arr[idx]
-            arr[idx] = original + epsilon
+            arr[idx] = original + FD_EPSILON
             up = loss(forward_trace(token_ids, features, params).probs, target)
-            arr[idx] = original - epsilon
+            arr[idx] = original - FD_EPSILON
             down = loss(forward_trace(token_ids, features, params).probs, target)
             arr[idx] = original
-            grad[idx] = (up - down) / (2.0 * epsilon)
+            grad[idx] = (up - down) / (2.0 * FD_EPSILON)
     return grads
 
 
@@ -140,19 +141,17 @@ def gradient_check(
     dims: tuple[int, int, int, int] = (4, 4, 4, 4),
     max_seq_len: int = 6,
     num_classes: int = 5,
-    vocab_size: int = 12,
-    epsilon: float = 1e-5,
 ) -> float:
     """Run one seeded analytic-vs-numeric comparison; returns the max error."""
     d_w, d_h, d_a, d_e = dims
     config = TrainConfig(d_w=d_w, d_h=d_h, d_a=d_a, d_e=d_e, seed=seed)
-    params = init_params(vocab_size, config, num_classes)
+    params = init_params(CHECK_VOCAB_SIZE, config, num_classes)
     rng = np.random.default_rng(seed + 1)
     seq_len = int(rng.integers(1, max_seq_len + 1))
-    token_ids = rng.integers(0, vocab_size, size=seq_len).tolist()
+    token_ids = rng.integers(0, CHECK_VOCAB_SIZE, size=seq_len).tolist()
     features = rng.normal(size=params.w_ev.shape[1])
     target = int(rng.integers(0, num_classes))
 
     analytic = backward(forward_trace(token_ids, features, params), target, params)
-    numeric = finite_difference_grads(token_ids, features, target, params, epsilon)
+    numeric = finite_difference_grads(token_ids, features, target, params)
     return max_relative_error(analytic, numeric)

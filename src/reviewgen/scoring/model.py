@@ -135,11 +135,9 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_params(
-    vocab_size: int, config: TrainConfig, num_classes: int, seed: int | None = None
-) -> ModelParams:
+def init_params(vocab_size: int, config: TrainConfig, num_classes: int) -> ModelParams:
     """Fan-balanced uniform init for matrices, zeros for biases."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     d_w, d_h, d_a, d_e = config.d_w, config.d_h, config.d_a, config.d_e
     # each gate's block is drawn on its own, in gate order, then stacked
     return ModelParams(

@@ -12,13 +12,16 @@ import stat
 import struct
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 from conftest import TOY_DIR, corrupted_backward, golden, run_cli
-from reviewgen import cli
+from reviewgen import cli, corpus
 from reviewgen.background import load_index, save_index
 from reviewgen.cli import main
+from reviewgen.corpus import load_review_labels
+from reviewgen.errors import ReviewgenError
 from reviewgen.scoring import grad, load_model, save_model
 
 PAPERS = TOY_DIR / "papers"
@@ -185,6 +188,31 @@ class TestEvaluate:
             "--index", trained["index"], "--models", tmp_path / "missing",
         )
         assert result.returncode == 3
+
+    def test_unlabelled_records_freed_before_bundles(self, trained, monkeypatch):
+        """The corpus pass keeps no record of an unlabelled paper: P12's is
+        gone before the first bundle is built."""
+        records = {}
+        bundled = []
+        real_load, real_bundle = corpus.load_paper, cli.build_bundle
+
+        def load_paper(path):
+            record = real_load(path)
+            records[record.paper_id] = weakref.ref(record)
+            return record
+
+        def build_bundle(paper, index):
+            bundled.append(paper.paper_id)
+            assert records["P12"]() is None
+            return real_bundle(paper, index)
+
+        monkeypatch.setattr(cli, "load_paper", load_paper)
+        monkeypatch.setattr(corpus, "load_paper", load_paper)
+        monkeypatch.setattr(cli, "build_bundle", build_bundle)
+        argv = ["evaluate", LABELS, "--corpus", PAPERS, "--index", trained["index"],
+                "--models", trained["models"]]
+        assert main([str(a) for a in argv]) == 0
+        assert "P12" not in bundled and len(bundled) == 11
 
     def test_category_without_labels_named(self, trained, tmp_path):
         result = run_cli(
@@ -620,6 +648,23 @@ def test_unknown_label_ids_named_in_sorted_order(trained, tmp_path, capsys):
             "--models", trained["models"]]
     assert main([str(a) for a in argv]) == 2
     assert "not in the corpus: A0, P1, Z9\n" in capsys.readouterr().err
+
+
+def test_labels_error_named_before_corpus_error(trained, tmp_path, capsys):
+    """train reads the labels before the corpus, so a bad labels file is
+    named even when a corpus paper is malformed too."""
+    papers = tmp_path / "papers"
+    shutil.copytree(PAPERS, papers)
+    _write(papers / "P03.json", "{not json")
+    labels = _write(tmp_path / "l.json", TWICE_LABELS)
+    with pytest.raises(ReviewgenError) as exc:
+        load_review_labels(labels)
+    argv = ["train", labels, "--corpus", papers, "--index", trained["index"],
+            "--models", tmp_path / "m", "--epochs", "1"]
+    assert main([str(a) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+    assert "second entry for paper 'P01'" in str(exc.value)
+    assert not (tmp_path / "m").exists()
 
 
 class TestCollector:

@@ -4,6 +4,7 @@ test here spreads the pass over two processes, on any number of CPUs."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -90,12 +91,31 @@ class TestSameResult:
         assert result.stdout == format_timeline(timeline)
 
 
-def _argv(command, corpus, tracked, index):
+@pytest.fixture(scope="module")
+def labelled(corpus_dir, tmp_path_factory):
+    """A labels file for every tenth corpus paper, and the corpus's index."""
+    directory, _ = corpus_dir
+    out = tmp_path_factory.mktemp("labelled")
+    scores = {"novelty": 3, "clarity": 2, "soundness": 4}
+    entries = [{"paper_id": path.stem, "reviews": [scores]}
+               for path in corpus_paths(directory)[::10]]
+    labels = out / "labels.json"
+    labels.write_text(json.dumps(entries), encoding="utf-8")
+    index = out / "bg.json"
+    save_index(build_index(corpus_paths(directory), CUTOFF), index)
+    return labels, index
+
+
+def _argv(command, corpus, tracked, out, labelled):
     if command == "build-background":
         return ["build-background", "--corpus", str(corpus),
-                "--cutoff", str(CUTOFF), "--index", str(index)]
-    return ["novelty-timeline", str(tracked), "--corpus", str(corpus),
-            "--years", YEARS]
+                "--cutoff", str(CUTOFF), "--index", str(out / "bg.json")]
+    if command == "novelty-timeline":
+        return ["novelty-timeline", str(tracked), "--corpus", str(corpus),
+                "--years", YEARS]
+    labels, index = labelled
+    return [command, str(labels), "--corpus", str(corpus), "--index", str(index),
+            "--models", str(out / "models")]
 
 
 def _load_corpus_error(corpus) -> str:
@@ -104,21 +124,25 @@ def _load_corpus_error(corpus) -> str:
     return str(exc.value)
 
 
-@pytest.mark.parametrize("command", ["build-background", "novelty-timeline"])
+@pytest.mark.parametrize(
+    "command", ["build-background", "novelty-timeline", "train", "evaluate"]
+)
 class TestSameErrors:
     """A bad corpus exits 2 with the message ``load_corpus`` raises, and
-    no index file is left behind."""
+    no index or model file is left behind. evaluate's models directory
+    does not exist, so reading it before the corpus would exit 3."""
 
-    def _check(self, command, corpus, tracked, tmp_path, capsys, message):
-        index = tmp_path / "bg.json"
-        assert main(_argv(command, corpus, tracked, index)) == 2
+    def _check(self, command, corpus, tracked, labelled, tmp_path, capsys, message):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(_argv(command, corpus, tracked, out_dir, labelled)) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: {message}\n")
-        assert not index.exists()
+        assert not list(out_dir.iterdir())
         assert not list(tmp_path.rglob("*.tmp"))
 
     def test_first_malformed_file_named(
-        self, command, corpus_dir, tmp_path, capsys
+        self, command, corpus_dir, labelled, tmp_path, capsys
     ):
         directory, tracked = corpus_dir
         corpus = _copy(directory, tmp_path)
@@ -127,19 +151,21 @@ class TestSameErrors:
         paths[-2].write_text(paths[-2].read_text().replace('"year": ', '"year": -'))
         message = _load_corpus_error(corpus)
         assert message.startswith(f"{paths[3]}: invalid JSON")
-        self._check(command, corpus, tracked, tmp_path, capsys, message)
+        self._check(command, corpus, tracked, labelled, tmp_path, capsys, message)
 
-    def test_duplicate_id_named(self, command, corpus_dir, tmp_path, capsys):
+    def test_duplicate_id_named(
+        self, command, corpus_dir, labelled, tmp_path, capsys
+    ):
         directory, tracked = corpus_dir
         corpus = _copy(directory, tmp_path)
         paths = corpus_paths(corpus)
         (corpus / "ZZ.json").write_bytes(paths[-5].read_bytes())
         message = _load_corpus_error(corpus)
         assert message == f"duplicate paper_id {paths[-5].stem!r} in corpus"
-        self._check(command, corpus, tracked, tmp_path, capsys, message)
+        self._check(command, corpus, tracked, labelled, tmp_path, capsys, message)
 
     def test_parse_error_wins_over_earlier_duplicate(
-        self, command, corpus_dir, tmp_path, capsys
+        self, command, corpus_dir, labelled, tmp_path, capsys
     ):
         directory, tracked = corpus_dir
         corpus = _copy(directory, tmp_path)
@@ -148,4 +174,4 @@ class TestSameErrors:
         paths[-1].write_text("[]", encoding="utf-8")
         message = _load_corpus_error(corpus)
         assert message.startswith(f"{paths[-1]}: expected an object")
-        self._check(command, corpus, tracked, tmp_path, capsys, message)
+        self._check(command, corpus, tracked, labelled, tmp_path, capsys, message)

@@ -275,13 +275,6 @@ class TestRecommendRelated:
     def test_shorter_lists_returned_whole(self):
         assert len(recommend_related(self.entry(2))) == 2
 
-    def test_explicit_k(self):
-        assert len(recommend_related(self.entry(9), k=1)) == 1
-
-    def test_k_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            recommend_related(self.entry(3), k=0)
-
 
 class TestEvidenceFeatures:
     def test_golden_p12(self, p12_bundle):

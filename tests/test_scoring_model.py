@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ SMALL = TrainConfig(d_w=3, d_h=4, d_a=3, d_e=2)
 
 
 def small_params(num_classes=5, seed=0, vocab=6) -> ModelParams:
-    return init_params(vocab, SMALL, num_classes, seed=seed)
+    return init_params(vocab, dataclasses.replace(SMALL, seed=seed), num_classes)
 
 
 def zero_params(num_classes=5) -> ModelParams:
