@@ -35,10 +35,9 @@ from reviewgen.corpus import (
     _RELATION_BY_VALUE,
     PaperRecord,
     _check_keys,
-    _check_unique_ids,
     _read_text,
     _write_atomic,
-    load_paper,
+    read_corpus,
 )
 from reviewgen.errors import (
     CutoffMismatchError,
@@ -53,7 +52,6 @@ from reviewgen.kg import (
     build_kg,
     elements,
 )
-from reviewgen.parallel import fork_map
 
 _FORMAT_NAME = "reviewgen-background-index"
 _FORMAT_VERSION = 1
@@ -137,32 +135,17 @@ class BackgroundIndex:
         return [k for group in groups for k in group if k.tail in tails]
 
 
-# Below this many papers a corpus is graphed in process. The fixed cost of
-# a parallel fork_map (its imports, forking a worker, piping its results
-# back and reaping it) is about 5-7 ms on a 2-CPU Xeon, for 16 trivial
-# items in the first call of a process; each paper's keys are pickled back
-# on top of that.
-# On a 2-CPU AMD EPYC box, with perfbench/corpusgen.py papers, two workers
-# beat one core in 5 of 11 paired runs at 200 papers and 7 of 11 at 300.
-PARALLEL_MIN_PAPERS = 250
-
-# a key travels as a plain tuple: pickle writes and reads one several
-# times faster than an ``ElementKey``, a tuple subclass that it can only
-# rebuild through ``__reduce_ex__``
-CorpusEntry = tuple[str, int, list[tuple] | None]
-
-
-def _corpus_entry(item: PaperRecord | Path, cutoff_year: int) -> CorpusEntry:
-    """(paper_id, year, element keys as plain tuples) of one corpus paper,
-    loaded first when ``item`` is a path; the keys are None from the cutoff
-    year on."""
-    paper = item if isinstance(item, PaperRecord) else load_paper(item)
+def _corpus_entry(paper: PaperRecord, cutoff_year: int) -> tuple[int, list | None]:
+    """(year, element keys) of one corpus paper; the keys are None from the
+    cutoff year on. A key travels as a plain tuple: pickle writes and reads
+    one several times faster than an ``ElementKey``, a tuple subclass that
+    it can only rebuild through ``__reduce_ex__``."""
     if paper.year >= cutoff_year:
-        return paper.paper_id, paper.year, None
+        return paper.year, None
     kg = build_kg(paper, TARGET_SCOPE)
     keys = [(e.representative, None, None) for e in kg.entities]
     keys.extend(map(tuple, kg.edges))
-    return paper.paper_id, paper.year, keys
+    return paper.year, keys
 
 
 def build_index(
@@ -170,29 +153,23 @@ def build_index(
 ) -> BackgroundIndex:
     """Index the elements of every corpus paper with year < cutoff_year.
 
-    The corpus is a list of papers, or of paper files in the order
-    ``corpus_paths`` gives; a file that fails to load raises the error
-    ``load_corpus`` would. Per-paper graphs are built over the abstract
-    and conclusion (``TARGET_SCOPE``); indexing whole bodies inflates
-    document frequencies. From ``PARALLEL_MIN_PAPERS`` papers up, the
-    papers are loaded and graphed on every CPU by ``fork_map``, which
-    sends back only the element keys. Each distinct key becomes an
-    ``ElementKey`` once, here; the order of the postings shows nowhere,
-    since every reader sorts or matches through sets.
+    The corpus is what ``read_corpus`` takes, and it is read there: a bad
+    file or repeated id raises as ``read_corpus`` says, and a large corpus
+    is graphed on every CPU, which sends back only the element keys.
+    Per-paper graphs are built over the abstract and conclusion
+    (``TARGET_SCOPE``); indexing whole bodies inflates document
+    frequencies. Each distinct key becomes an ``ElementKey`` once, here;
+    the order of the postings shows nowhere, since every reader sorts or
+    matches through sets.
     """
-    entry = partial(_corpus_entry, cutoff_year=cutoff_year)
-    if len(corpus) < PARALLEL_MIN_PAPERS:
-        entries = [entry(item) for item in corpus]
-    else:
-        entries = fork_map(entry, corpus)
-    _check_unique_ids(paper_id for paper_id, _, _ in entries)
+    entries = read_corpus(corpus, partial(_corpus_entry, cutoff_year=cutoff_year))
     # in paper_id order, each key's refs come out sorted, since a paper
     # holds a key once and no two papers share an id
     entries.sort(key=itemgetter(0))
 
     year_counts: dict[int, int] = {}
     postings: dict[ElementKey, list[PaperRef]] = {}
-    for paper_id, year, keys in entries:
+    for paper_id, (year, keys) in entries:
         if keys is None:
             continue
         year_counts[year] = year_counts.get(year, 0) + 1

@@ -7,19 +7,19 @@ process. Results go to standard output; diagnostics go to standard error.
 Every command produces byte-identical output given identical inputs;
 train and grad-check take the --seed that fixes their randomness.
 Commands run with Python's cyclic garbage collector paused, because their
-data holds no reference cycles. build-background and novelty-timeline
-graph a large corpus, and train fits the seven category models, on every
-CPU in the process's affinity mask: this process and workers forked with
-os.fork, which inherit the paused collector, each take the next paper or
-category whenever they are free, and the workers send their results back
-through pipes. A failure in any process stops every process before its
-next item. A worker that dies, killed by a signal or exiting non-zero,
-ends the command with exit 1 once this process has finished its current
-item, never with a hang, and no worker outlives the command. Each train
-process writes the models of its own categories into one staging
-directory that train makes inside the models directory; all seven are
-renamed into place only once every one has been trained, and the staging
-directory is removed, with anything a failed run left in it.
+data holds no reference cycles. build-background, novelty-timeline,
+train and evaluate read a large corpus, and train fits the seven category
+models, on every CPU in the process's affinity mask: this process and
+workers forked with os.fork, which inherit the paused collector, each
+take the next paper or category whenever they are free, and the workers
+send their results back through pipes. A failure in any process stops
+every process before its next item. A worker that dies, killed by a
+signal or exiting non-zero, ends the command with exit 1 once this
+process has finished its current item, never with a hang, and no worker
+outlives the command. Each train process writes the models of its own
+categories into one staging directory inside the models directory; all
+seven are renamed into place only once every one has been trained, and
+the staging directory is removed, with anything a failed run left in it.
 ``taskset -c 0`` keeps a command on one CPU; the output is the same.
 train and evaluate read the labels, every corpus file (keeping only the
 labelled papers), the index, then evaluate's models; the first bad input
@@ -50,11 +50,11 @@ from reviewgen.corpus import (
     Category,
     PaperRecord,
     SCOREABLE_CATEGORIES,
-    _check_unique_ids,
     _naming,
     corpus_paths,
     load_paper,
     load_review_labels,
+    read_corpus,
     target_scores,
 )
 from reviewgen.errors import (
@@ -169,22 +169,16 @@ def _labelled(
     if not labels:
         raise ValidationError(f"labels file {args.labels} contains no entries")
     by_id = {lab.paper_id: lab for lab in labels}
-    paper_ids = []
-    papers = []
-    for path in corpus_paths(args.corpus):
-        paper = load_paper(path)
-        paper_ids.append(paper.paper_id)
-        if paper.paper_id in by_id:
-            papers.append(paper)
-        del paper  # an unlabelled record is freed before the next file loads
-    # after the loop, so a parse error anywhere wins, as in load_corpus
-    _check_unique_ids(paper_ids)
+    entries = read_corpus(
+        corpus_paths(args.corpus), lambda p: p if p.paper_id in by_id else None
+    )
     index = _load_artifact(load_index, args.index)
-    unknown = sorted(by_id.keys() - set(paper_ids))
+    unknown = sorted(by_id.keys() - {paper_id for paper_id, _ in entries})
     if unknown:
         raise ValidationError(
             f"labels name papers not in the corpus: {', '.join(unknown)}"
         )
+    papers = [paper for _, paper in entries if paper is not None]
     targets = {p.paper_id: target_scores(by_id[p.paper_id]) for p in papers}
     return papers, _bundles(papers, index, args.cutoff), targets
 

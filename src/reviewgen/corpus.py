@@ -19,14 +19,15 @@ import contextlib
 import json
 import os
 import tempfile
-from collections.abc import Iterable, Iterator, Set
+from collections.abc import Callable, Iterable, Iterator, Sequence, Set
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from reviewgen.errors import ParseError, ValidationError
+from reviewgen.parallel import fork_map
 
 
 # Enum members are singletons and compare by identity, so the three
@@ -497,6 +498,35 @@ def _check_unique_ids(paper_ids: Iterable[str]) -> None:
         if paper_id in seen:
             raise ValidationError(f"duplicate paper_id {paper_id!r} in corpus")
         seen.add(paper_id)
+
+
+# Below this many papers a corpus is read in process. The fixed cost of
+# a parallel fork_map (its imports, forking a worker, piping its results
+# back and reaping it) is about 5-7 ms on a 2-CPU Xeon, for 16 trivial
+# items in the first call of a process; each paper's result is pickled
+# back on top of that.
+# On a 2-CPU AMD EPYC box, two workers graphing perfbench/corpusgen.py papers
+# beat one core in 5 of 11 paired runs at 200 papers and 7 of 11 at 300.
+PARALLEL_MIN_PAPERS = 250
+
+
+def read_corpus(
+    corpus: Sequence[PaperRecord | Path], fn: Callable[[PaperRecord], Any]
+) -> list[tuple[str, Any]]:
+    """``[(paper_id, fn(paper)), ...]`` over papers, or over paper files in
+    the order ``corpus_paths`` gives, each loaded before ``fn`` sees it.
+    From ``PARALLEL_MIN_PAPERS`` papers up, it runs on every CPU and only
+    these pairs come back. A bad file anywhere, else the first repeated id,
+    raises the error ``load_corpus`` would."""
+
+    def entry(item: PaperRecord | Path) -> tuple[str, Any]:
+        paper = item if isinstance(item, PaperRecord) else load_paper(item)
+        return paper.paper_id, fn(paper)
+
+    spread = fork_map if len(corpus) >= PARALLEL_MIN_PAPERS else map
+    entries = list(spread(entry, corpus))
+    _check_unique_ids(paper_id for paper_id, _ in entries)
+    return entries
 
 
 def load_corpus(directory: str | Path) -> list[PaperRecord]:

@@ -31,6 +31,8 @@ from reviewgen.scoring.model import (
 Gradients = dict[str, "np.ndarray"]  # a string, so numpy is not loaded here
 FD_EPSILON = 1e-5  # central-difference step
 CHECK_VOCAB_SIZE = 12  # vocabulary of gradient_check's random model
+CHECK_NUM_CLASSES = 5  # and its classes
+CHECK_MAX_SEQ_LEN = 6  # the longest example it draws
 
 
 def backward(trace: ForwardTrace, target: int, params: ModelParams) -> Gradients:
@@ -136,21 +138,16 @@ def max_relative_error(analytic: Gradients, numeric: Gradients) -> float:
     return worst
 
 
-def gradient_check(
-    seed: int,
-    dims: tuple[int, int, int, int] = (4, 4, 4, 4),
-    max_seq_len: int = 6,
-    num_classes: int = 5,
-) -> float:
+def gradient_check(seed: int, dims: tuple[int, int, int, int] = (4, 4, 4, 4)) -> float:
     """Run one seeded analytic-vs-numeric comparison; returns the max error."""
     d_w, d_h, d_a, d_e = dims
     config = TrainConfig(d_w=d_w, d_h=d_h, d_a=d_a, d_e=d_e, seed=seed)
-    params = init_params(CHECK_VOCAB_SIZE, config, num_classes)
+    params = init_params(CHECK_VOCAB_SIZE, config, CHECK_NUM_CLASSES)
     rng = np.random.default_rng(seed + 1)
-    seq_len = int(rng.integers(1, max_seq_len + 1))
+    seq_len = int(rng.integers(1, CHECK_MAX_SEQ_LEN + 1))
     token_ids = rng.integers(0, CHECK_VOCAB_SIZE, size=seq_len).tolist()
     features = rng.normal(size=params.w_ev.shape[1])
-    target = int(rng.integers(0, num_classes))
+    target = int(rng.integers(0, CHECK_NUM_CLASSES))
 
     analytic = backward(forward_trace(token_ids, features, params), target, params)
     numeric = finite_difference_grads(token_ids, features, target, params)

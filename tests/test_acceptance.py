@@ -222,7 +222,7 @@ def test_criterion_06_gradient_check():
     start = time.perf_counter()
     worst = 0.0
     for seed in range(20):
-        error = gradient_check(seed, dims=(4, 4, 4, 4), max_seq_len=6)
+        error = gradient_check(seed, dims=(4, 4, 4, 4))
         worst = max(worst, error)
         assert error < 1e-4, f"seed {seed}: {error:.3e}"
     elapsed = time.perf_counter() - start

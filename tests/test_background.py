@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reviewgen import background
+import reviewgen.corpus as corpus_module
 from reviewgen.background import (
     BackgroundIndex,
     PaperRef,
@@ -133,7 +133,7 @@ class TestBuildIndex:
         # each paper's keys come back as plain tuples, which hash and compare
         # as ElementKeys do, so only their type shows a key left unconverted
         cpus(cpus_used)
-        monkeypatch.setattr(background, "PARALLEL_MIN_PAPERS", 2)
+        monkeypatch.setattr(corpus_module, "PARALLEL_MIN_PAPERS", 2)
         index = build_index(corpus_paths(toy_dir / "papers"), 2018)
         assert index.postings == index2018.postings
         assert all(type(key) is ElementKey for key in index.postings)

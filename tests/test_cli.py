@@ -206,7 +206,6 @@ class TestEvaluate:
             assert records["P12"]() is None
             return real_bundle(paper, index)
 
-        monkeypatch.setattr(cli, "load_paper", load_paper)
         monkeypatch.setattr(corpus, "load_paper", load_paper)
         monkeypatch.setattr(cli, "build_bundle", build_bundle)
         argv = ["evaluate", LABELS, "--corpus", PAPERS, "--index", trained["index"],

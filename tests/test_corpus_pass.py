@@ -1,6 +1,8 @@
 """The corpus pass on a corpus large enough to be spread over forked
-workers: the same index bytes, timelines and errors as in process. Every
-test here spreads the pass over two processes, on any number of CPUs."""
+workers: build-background, novelty-timeline, train and evaluate give the
+same index bytes, timelines, models, evaluate lines and errors as in
+process. Every test here spreads the pass over two processes, on any
+number of CPUs."""
 
 from __future__ import annotations
 
@@ -10,16 +12,22 @@ import random
 import pytest
 
 from conftest import run_cli
-from reviewgen import background
+import reviewgen.corpus as corpus_module
 from reviewgen.background import build_index, save_index
 from reviewgen.cli import main
-from reviewgen.corpus import corpus_paths, load_corpus, load_paper, serialize_paper
+from reviewgen.corpus import (
+    SCOREABLE_CATEGORIES,
+    corpus_paths,
+    load_corpus,
+    load_paper,
+    serialize_paper,
+)
 from reviewgen.errors import ReviewgenError
 from reviewgen.evidence import format_timeline, novelty_timeline
 
 from synth import build_random_corpus, build_random_paper
 
-N_PAPERS = background.PARALLEL_MIN_PAPERS + 30
+N_PAPERS = corpus_module.PARALLEL_MIN_PAPERS + 30
 CUTOFF = 2016
 YEARS = "2011..2017"
 
@@ -45,8 +53,8 @@ def two_cpus(cpus):
 
 @pytest.fixture
 def in_process(monkeypatch):
-    """Graph every corpus in process for the rest of the test."""
-    monkeypatch.setattr(background, "PARALLEL_MIN_PAPERS", 10**9)
+    """Read every corpus in process for the rest of the test."""
+    monkeypatch.setattr(corpus_module, "PARALLEL_MIN_PAPERS", 10**9)
 
 
 def _copy(corpus_dir, tmp_path):
@@ -63,7 +71,7 @@ class TestSameResult:
         records = load_corpus(directory)
         from_records = build_index(records, CUTOFF)
         from_paths = build_index(corpus_paths(directory), CUTOFF)
-        monkeypatch.setattr(background, "PARALLEL_MIN_PAPERS", 10**9)
+        monkeypatch.setattr(corpus_module, "PARALLEL_MIN_PAPERS", 10**9)
         expected = build_index(records, CUTOFF)
         assert from_records == expected
         assert from_paths == expected
@@ -90,15 +98,42 @@ class TestSameResult:
         assert result.returncode == 0, result.stderr
         assert result.stdout == format_timeline(timeline)
 
+    def test_labelled_records_sent_back_as_read_in_process(
+        self, corpus_dir, labelled, trained, tmp_path, monkeypatch, capsys
+    ):
+        """train writes the same models, and evaluate with the toy models
+        prints the same lines, whether the workers read the corpus or not."""
+        directory, _ = corpus_dir
+        labels, index = labelled
+        common = [str(labels), "--corpus", str(directory), "--index", str(index)]
+
+        def run(models):
+            argv = ["train", *common, "--models", str(models), "--epochs", "1",
+                    "--seed", "0"]
+            assert main(argv) == 0
+            train_log = capsys.readouterr().out
+            assert main(["evaluate", *common, "--models", str(trained["models"])]) == 0
+            files = {path.name: path.read_bytes() for path in models.iterdir()}
+            return train_log, capsys.readouterr().out, files
+
+        forked = run(tmp_path / "forked")
+        monkeypatch.setattr(corpus_module, "PARALLEL_MIN_PAPERS", 10**9)
+        assert run(tmp_path / "in_process") == forked
+        assert len(forked[2]) == len(SCOREABLE_CATEGORIES)
+
 
 @pytest.fixture(scope="module")
 def labelled(corpus_dir, tmp_path_factory):
-    """A labels file for every tenth corpus paper, and the corpus's index."""
+    """A labels file for every tenth corpus paper, scored in every
+    category, and the corpus's index."""
     directory, _ = corpus_dir
     out = tmp_path_factory.mktemp("labelled")
-    scores = {"novelty": 3, "clarity": 2, "soundness": 4}
-    entries = [{"paper_id": path.stem, "reviews": [scores]}
-               for path in corpus_paths(directory)[::10]]
+    entries = [
+        {"paper_id": path.stem,
+         "reviews": [{c.value: 1 + (i + k) % 5
+                      for k, c in enumerate(SCOREABLE_CATEGORIES)}]}
+        for i, path in enumerate(corpus_paths(directory)[::10])
+    ]
     labels = out / "labels.json"
     labels.write_text(json.dumps(entries), encoding="utf-8")
     index = out / "bg.json"
