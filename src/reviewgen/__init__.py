@@ -51,7 +51,6 @@ from reviewgen.corpus import (
     ReviewLabels,
     SCOREABLE_CATEGORIES,
     SectionKind,
-    Sentence,
     corpus_paths,
     load_corpus,
     load_paper,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from json.encoder import encode_basestring
 from json.scanner import make_scanner
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -68,6 +68,9 @@ class PaperRef(NamedTuple):
     year: int
 
 
+_year = attrgetter("year")
+
+
 @dataclass
 class BackgroundIndex:
     """Element postings over all corpus papers published before the cutoff.
@@ -79,7 +82,9 @@ class BackgroundIndex:
 
     No posting tuple is empty: ``build_index`` never makes one,
     ``restrict`` drops a key whose papers all fall at or after the new
-    cutoff, and ``load_index`` rejects a row without postings.
+    cutoff, and ``load_index`` rejects a row without postings. Each paper
+    has one ``PaperRef``, shared by its postings and returned, not rebuilt,
+    by ``match_element``; ``load_index`` rejects a paper dated twice.
     """
 
     cutoff_year: int
@@ -214,15 +219,12 @@ def match_element(index: BackgroundIndex, key: ElementKey) -> tuple[PaperRef, ..
 
     Node keys match node postings whose representatives contain one
     another; edge keys additionally require equal relation types and
-    matching on both endpoints. Papers come year descending, then by
-    paper_id.
+    matching on both endpoints. Papers come as the index's own refs,
+    year descending, then by paper_id.
     """
-    hits: dict[str, int] = {}
-    for candidate in index.candidate_keys(key):
-        for ref in index.postings[candidate]:
-            hits[ref.paper_id] = ref.year
-    refs = (PaperRef(p, y) for p, y in hits.items())
-    return tuple(sorted(refs, key=lambda r: (-r.year, r.paper_id)))
+    refs = sorted({ref for k in index.candidate_keys(key) for ref in index.postings[k]})
+    refs.sort(key=_year, reverse=True)  # stable, so paper_id order within a year
+    return tuple(refs)
 
 
 def tfidf(index: BackgroundIndex, paper_kg: KnowledgeGraph) -> dict[ElementKey, float]:

@@ -7,10 +7,11 @@ Review labels arrive as one JSON document per corpus. Parsing is strict:
 unknown fields are rejected so format drift surfaces immediately. A
 paper's per-item fields (mentions, relations, cluster members,
 citations) are each tested once, inline, and an error's locus string is
-built only when the check fails. The per-item records (``Sentence``,
-``Mention``, ``RelationAnnotation``) are ``NamedTuple``s: a paper builds
-dozens of them, and a tuple is built several times faster than a frozen
-dataclass. They are immutable all the same.
+built only when the check fails. The per-item records (``Mention``,
+``RelationAnnotation``) are ``NamedTuple``s: a paper builds dozens of
+them, and a tuple is built several times faster than a frozen dataclass.
+They are immutable all the same. A sentence is a plain tuple of tokens,
+and its index is its position in the section.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from reviewgen.parallel import fork_map
 # where ``Enum.__hash__`` is a Python call on every dict and set lookup.
 # Never iterate a set of them where order shows; use the enum's order.
 class SectionKind(Enum):
-    """The four section scopes a paper may provide."""
+    """The four section scopes a paper may provide, declared in reading order."""
 
     __hash__ = object.__hash__
 
@@ -94,15 +95,12 @@ _ENTITY_TYPE_BY_VALUE = {t.value: t for t in EntityType}
 _RELATION_BY_VALUE = {r.value: r for r in RelationType}
 _CATEGORY_BY_VALUE = {c.value: c for c in Category}
 
+Section = tuple[tuple[str, ...], ...]  # its sentences, each a tuple of tokens
+
 
 # The parser builds these per-item records with ``tuple.__new__(cls,
 # fields)``, fields in declaration order: that skips the Python-level
 # ``__new__`` of a NamedTuple class, about half of a record's cost.
-class Sentence(NamedTuple):
-    sentence_index: int
-    tokens: tuple[str, ...]
-
-
 class Mention(NamedTuple):
     """One entity mention; ``surface`` is the joined tokens of its span."""
 
@@ -143,7 +141,7 @@ class PaperRecord:
     title: str
     year: int
     venue: str
-    sections: dict[SectionKind, tuple[Sentence, ...]] = field(default_factory=dict)
+    sections: dict[SectionKind, Section] = field(default_factory=dict)
     citations: tuple[str, ...] = ()
     annotations: IEAnnotations = field(
         default_factory=lambda: IEAnnotations((), (), ())
@@ -232,9 +230,9 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
             raise
 
 
-def _parse_sections(raw: dict, locus: str) -> dict[SectionKind, tuple[Sentence, ...]]:
+def _parse_sections(raw: dict, locus: str) -> dict[SectionKind, Section]:
     _check_keys(raw, set(), set(_SECTION_BY_VALUE), locus)
-    sections: dict[SectionKind, tuple[Sentence, ...]] = {}
+    sections: dict[SectionKind, Section] = {}
     for name, sentences_raw in raw.items():
         kind = _SECTION_BY_VALUE[name]
         if not isinstance(sentences_raw, list):
@@ -247,7 +245,7 @@ def _parse_sections(raw: dict, locus: str) -> dict[SectionKind, tuple[Sentence, 
                 raise ParseError(f"{locus}.{name}[{i}]: expected a list of token strings")
             if not tokens_raw:
                 raise ValidationError(f"{locus}.{name}[{i}]: sentence has no tokens")
-            sentences.append(tuple.__new__(Sentence, (i, tuple(tokens_raw))))
+            sentences.append(tuple(tokens_raw))
         sections[kind] = tuple(sentences)
     return sections
 
@@ -294,7 +292,7 @@ def _parse_mention(raw: dict, sections, where: str, i: int) -> Mention:
             f"{where}[{i}]: mention {mention_id} points at missing sentence "
             f"{section_name}[{sentence_index}]"
         )
-    tokens = sentences[sentence_index].tokens
+    tokens = sentences[sentence_index]
     if not (0 <= start < end <= len(tokens)):
         raise ValidationError(
             f"{where}[{i}]: mention {mention_id} span [{start},{end}) outside "
@@ -455,7 +453,7 @@ def serialize_paper(record: PaperRecord) -> str:
         "venue": record.venue,
         "citations": list(record.citations),
         "sections": {
-            kind.value: [list(s.tokens) for s in sentences]
+            kind.value: [list(s) for s in sentences]
             for kind, sentences in record.sections.items()
         },
         "mentions": [

@@ -13,15 +13,6 @@ from reviewgen.evidence import EvidenceBundle
 from reviewgen.kg import ElementKey, KnowledgeGraph
 from reviewgen.scoring.vocab import SEP_TOKEN, UNK_TOKEN
 
-# Reading order for "document order" across sections.
-_SECTION_ORDER = (
-    SectionKind.ABSTRACT,
-    SectionKind.CONCLUSION,
-    SectionKind.RELATED_WORK,
-    SectionKind.BODY,
-)
-
-
 def _mention_positions(
     kg: KnowledgeGraph, keys: list[ElementKey]
 ) -> set[tuple[SectionKind, int]]:
@@ -64,18 +55,19 @@ def category_sentences(
 ) -> tuple[str, ...]:
     """Token sequence for one category: evidence sentences or the abstract.
 
-    Sentences appear in document order, separated by SEP; the result is
-    truncated to ``max_seq_len`` and is never empty (a paper with no
-    abstract and no evidence yields a single UNK token).
+    Sentences appear in document order (sections in ``SectionKind``'s
+    reading order), separated by SEP; the result is truncated to
+    ``max_seq_len`` and is never empty (a paper with no abstract and no
+    evidence yields a single UNK token).
     """
     if max_seq_len < 1:
         raise ValueError(f"max_seq_len must be >= 1, got {max_seq_len}")
     positions = _evidence_positions(bundle, category)
     selected = [
         sentence
-        for section in _SECTION_ORDER
-        for sentence in paper.sections.get(section, ())
-        if (section, sentence.sentence_index) in positions
+        for section in SectionKind
+        for i, sentence in enumerate(paper.sections.get(section, ()))
+        if (section, i) in positions
     ]
     if not selected:
         selected = list(paper.sections.get(SectionKind.ABSTRACT, ()))
@@ -84,7 +76,7 @@ def category_sentences(
     for i, sentence in enumerate(selected):
         if i:
             tokens.append(SEP_TOKEN)
-        tokens.extend(sentence.tokens)
+        tokens.extend(sentence)
     if not tokens:
         return (UNK_TOKEN,)
     return tuple(tokens[:max_seq_len])

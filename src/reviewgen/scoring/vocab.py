@@ -43,9 +43,9 @@ class Vocab:
         return tuple(self.index.get(t, UNK_INDEX) for t in tokens)
 
     def to_list(self) -> list[str]:
-        """Tokens in index order (for serialization)."""
-        ordered = sorted(self.index.items(), key=lambda kv: kv[1])
-        return [token for token, _ in ordered]
+        """Tokens in index order (for serialization), the order both
+        ``build`` and ``from_list`` insert them into ``index``."""
+        return list(self.index)
 
     @classmethod
     def from_list(cls, tokens: list[str]) -> "Vocab":

@@ -318,13 +318,20 @@ class TestMatchElement:
             )
             assert match_element(index, query) == tuple(want)
 
-    def test_result_ordering(self, corpus, index2018):
+    def test_result_ordering(self, corpus, index2018, tmp_path):
         refs = match_element(
             index2018, ElementKey(("neural", "machine", "translation"))
         )
         assert [ref.paper_id for ref in refs] == ["P08", "P05", "P01"]
         years = [ref.year for ref in refs]
         assert years == sorted(years, reverse=True)
+        # the refs returned are the index's own objects, never rebuilt ones
+        save_index(index2018, tmp_path / "index.jsonl")
+        for index in (index2018, load_index(tmp_path / "index.jsonl")):
+            held = {id(ref) for refs in index.postings.values() for ref in refs}
+            for key in index.postings:
+                refs = match_element(index, key)
+                assert refs and all(id(ref) in held for ref in refs)
 
 
 class TestTfidf:

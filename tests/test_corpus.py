@@ -47,6 +47,13 @@ class TestParsePaper:
         record = parse_paper(minimal_doc())
         assert record.paper_id == "X1"
         assert len(record.sections[SectionKind.ABSTRACT]) == 1
+        # a section is a tuple of sentences, each a tuple of plain str tokens
+        for section in record.sections.values():
+            assert type(section) is tuple
+            for sentence in section:
+                assert type(sentence) is tuple
+                assert all(type(token) is str for token in sentence)
+        assert record.sections[SectionKind.ABSTRACT][0] == ("a", "neural", "parser", ".")
         assert len(record.annotations.mentions) == 1
         assert record.annotations.mentions[0].surface == "neural parser"
         assert record.annotations.relations == ()

@@ -15,7 +15,6 @@ from reviewgen.corpus import (
     RelationAnnotation,
     RelationType,
     SectionKind,
-    Sentence,
     parse_paper,
 )
 from reviewgen.kg import (
@@ -555,7 +554,6 @@ class TestElementKey:
 def test_record_tuples_keep_their_fields():
     # the per-item records are NamedTuples, built and unpacked by position,
     # so a field added, dropped or moved must show here first
-    assert Sentence._fields == ("sentence_index", "tokens")
     assert Mention._fields == (
         "mention_id", "section", "sentence_index", "span", "surface", "entity_type"
     )
