@@ -267,24 +267,6 @@ def _tokens(text: object, interned: dict[str, NormalizedString]) -> NormalizedSt
     return parts
 
 
-def _key_from_fields(fields: list, interned: dict[str, NormalizedString]) -> ElementKey:
-    if not fields:
-        raise ParseError("expected a non-empty array")
-    kind = fields[0]
-    if kind == "node" and len(fields) == 2:
-        return ElementKey(_tokens(fields[1], interned))
-    if kind == "edge" and len(fields) == 4:
-        relation = fields[2]
-        if not isinstance(relation, str) or relation not in _RELATION_BY_VALUE:
-            raise ParseError(f"unknown relation {relation!r}")
-        return ElementKey(
-            _tokens(fields[1], interned),
-            _RELATION_BY_VALUE[relation],
-            _tokens(fields[3], interned),
-        )
-    raise ParseError(f"malformed element key {fields!r}")
-
-
 def save_index(index: BackgroundIndex, path: str | Path) -> None:
     """Write the index as a line-oriented, diff-friendly text file.
 
@@ -334,9 +316,7 @@ def load_index(path: str | Path) -> BackgroundIndex:
     from its first character, and the value is taken only when it ends the
     line. Any other line, one with a syntax error or with whitespace or other
     text after the value, is parsed again by ``json.loads``: it loads as
-    ``json.loads`` accepts it, or fails with its message. A row of the
-    canonical edge shape whose texts are already known builds its key
-    directly; every other row goes through the full field checks.
+    ``json.loads`` accepts it, or fails with its message.
     """
     path = Path(path)
     # rows end in "\n" alone: U+2028 and the other breaks that
@@ -422,19 +402,18 @@ def _load_rows(
                 raise ParseError("row must be an array")
             size = len(row)
             if size == 3 and row[0] == "node":
-                # node rows come first, so their texts are new to ``interned``
                 key = tuple.__new__(ElementKey, (_tokens(row[1], interned), None, None))
-            elif (
-                size == 5
-                and row[0] == "edge"
-                and type(row[1]) is type(row[2]) is type(row[3]) is str
-                and (head := interned.get(row[1])) is not None
-                and (relation := _RELATION_BY_VALUE.get(row[2])) is not None
-                and (tail := interned.get(row[3])) is not None
-            ):
-                key = tuple.__new__(ElementKey, (head, relation, tail))
+            elif size == 5 and row[0] == "edge":
+                relation = row[2]
+                if type(relation) is not str or relation not in _RELATION_BY_VALUE:
+                    raise ParseError(f"unknown relation {relation!r}")
+                head = _tokens(row[1], interned)
+                tail = _tokens(row[3], interned)
+                key = tuple.__new__(ElementKey, (head, _RELATION_BY_VALUE[relation], tail))
+            elif size < 2:
+                raise ParseError("expected a non-empty array")
             else:
-                key = _key_from_fields(row[:-1], interned)
+                raise ParseError(f"malformed element key {row[:-1]!r}")
             refs = row[-1]
             if not isinstance(refs, list) or not refs:
                 raise ParseError("postings must be a non-empty array")

@@ -165,10 +165,7 @@ def _labelled(
     """The labelled papers of train and evaluate, in corpus order, with
     their bundles and target scores. Reads the labels, then every corpus
     file, then the index; only the labelled papers' records are kept."""
-    labels = load_review_labels(args.labels)
-    if not labels:
-        raise ValidationError(f"labels file {args.labels} contains no entries")
-    by_id = {lab.paper_id: lab for lab in labels}
+    by_id = {lab.paper_id: lab for lab in load_review_labels(args.labels)}
     entries = read_corpus(
         corpus_paths(args.corpus), lambda p: p if p.paper_id in by_id else None
     )

@@ -535,10 +535,13 @@ def load_corpus(directory: str | Path) -> list[PaperRecord]:
 
 
 def load_review_labels(path: str | Path) -> list[ReviewLabels]:
-    """Load a review label file: one entry per paper, multiple reviews kept."""
+    """Load a review label file: at least one entry, one per paper, multiple
+    reviews kept."""
     raw = _load_json(path)
     if not isinstance(raw, list):
         raise ParseError(f"{path}: expected a top-level list")
+    if not raw:
+        raise ValidationError(f"labels file {path} contains no entries")
     out = []
     seen: set[str] = set()
     for i, entry in enumerate(raw):

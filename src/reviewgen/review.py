@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -105,8 +105,8 @@ class TemplateSet:
     variant: int = 0  # index into each template pool; 0 = first
 
 
-# the pools of a category's templates, the fields of CategoryTemplates
-_TEMPLATE_POOLS = ("positive", "negative", "positive_empty", "negative_empty")
+# the pools of a category's templates, in declaration order
+_TEMPLATE_POOLS = tuple(f.name for f in fields(CategoryTemplates))
 
 
 def _slot_names(template: str, locus: str) -> set[str]:
@@ -119,37 +119,6 @@ def _slot_names(template: str, locus: str) -> set[str]:
         if name:
             names.add(name)
     return names
-
-
-def _validate_templates(tset: TemplateSet) -> None:
-    for category in Category:
-        if category not in tset.categories:
-            raise ValidationError(f"templates missing category {category.value!r}")
-        block = tset.categories[category]
-        if not block.positive or not block.negative:
-            raise ValidationError(
-                f"category {category.value!r} needs at least one template "
-                "per polarity"
-            )
-        for kind in _TEMPLATE_POOLS:
-            for tpl in getattr(block, kind):
-                bad = _slot_names(tpl, category.value) - TEMPLATE_SLOTS
-                if bad:
-                    raise ValidationError(
-                        f"category {category.value!r}: unknown slot "
-                        f"{sorted(bad)[0]!r}"
-                    )
-    for relation in RelationType:  # enum order, so the first missing is fixed
-        if relation in SUMMARY_RELATIONS and relation not in tset.relation_phrases:
-            raise ValidationError(
-                f"relation_phrases missing {relation.value!r}"
-            )
-    for relation, phrase in tset.relation_phrases.items():
-        names = _slot_names(phrase, f"phrase {relation.value}")
-        if names != PHRASE_SLOTS:
-            raise ValidationError(
-                f"phrase for {relation.value!r} must use exactly HEAD and TAIL"
-            )
 
 
 def _parse_template_block(raw: object, locus: str) -> CategoryTemplates:
@@ -165,11 +134,26 @@ def _parse_template_block(raw: object, locus: str) -> CategoryTemplates:
             not isinstance(x, str) for x in value
         ):
             raise ValidationError(f"{locus}.{kind}: expected a list of strings")
+        for tpl in value:
+            bad = _slot_names(tpl, locus) - TEMPLATE_SLOTS
+            if bad:
+                raise ValidationError(
+                    f"category {locus!r}: unknown slot {sorted(bad)[0]!r}"
+                )
         lists[kind] = tuple(value)
+    if not lists["positive"] or not lists["negative"]:
+        raise ValidationError(
+            f"category {locus!r} needs at least one template per polarity"
+        )
     return CategoryTemplates(**lists)
 
 
 def parse_templates(raw: object) -> TemplateSet:
+    """Check a template file as it is read; a file with several faults
+    names the first in reading order: the top level and ``variant``, each
+    category in file order, a missing category in ``Category`` order, each
+    phrase in file order, then a missing summary phrase in ``RelationType``
+    order."""
     if not isinstance(raw, dict):
         raise ValidationError("template file: expected a top-level object")
     unknown = set(raw) - {"categories", "relation_phrases", "variant"}
@@ -181,26 +165,32 @@ def parse_templates(raw: object) -> TemplateSet:
         raise ValidationError(
             "template file needs 'categories' and 'relation_phrases' objects"
         )
+    variant = raw.get("variant", 0)
+    if type(variant) is not int or variant < 0:
+        raise ValidationError("variant must be a non-negative integer")
     categories = {}
     for name, block in raw_cats.items():
         if name not in _CATEGORY_BY_VALUE:
             raise ValidationError(f"unknown category {name!r} in templates")
         categories[_CATEGORY_BY_VALUE[name]] = _parse_template_block(block, name)
+    for category in Category:
+        if category not in categories:
+            raise ValidationError(f"templates missing category {category.value!r}")
     phrases = {}
     for name, phrase in raw_phrases.items():
         if name not in _RELATION_BY_VALUE:
             raise ValidationError(f"unknown relation {name!r} in templates")
         if not isinstance(phrase, str):
             raise ValidationError(f"phrase for {name!r} must be a string")
+        if _slot_names(phrase, f"phrase {name}") != PHRASE_SLOTS:
+            raise ValidationError(
+                f"phrase for {name!r} must use exactly HEAD and TAIL"
+            )
         phrases[_RELATION_BY_VALUE[name]] = phrase
-    variant = raw.get("variant", 0)
-    if type(variant) is not int or variant < 0:
-        raise ValidationError("variant must be a non-negative integer")
-    tset = TemplateSet(
-        categories=categories, relation_phrases=phrases, variant=variant
-    )
-    _validate_templates(tset)
-    return tset
+    for relation in RelationType:  # enum order, so the first missing is fixed
+        if relation in SUMMARY_RELATIONS and relation not in phrases:
+            raise ValidationError(f"relation_phrases missing {relation.value!r}")
+    return TemplateSet(categories=categories, relation_phrases=phrases, variant=variant)
 
 
 def load_templates(path: str | Path) -> TemplateSet:

@@ -421,9 +421,16 @@ class TestPersistence:
     def test_toy_round_trip_and_byte_stability(self, index2018, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         save_index(index2018, a)
-        save_index(load_index(a), b)
+        loaded = load_index(a)
+        save_index(loaded, b)
         assert load_index(b) == index2018
         assert a.read_bytes() == b.read_bytes()
+        # an edge key holds the very token tuples of its endpoints' node keys
+        nodes = {key.head: key.head for key in loaded.postings if key.relation is None}
+        edges = [key for key in loaded.postings if key.relation is not None]
+        assert edges
+        for key in edges:
+            assert nodes[key.head] is key.head and nodes[key.tail] is key.tail
 
     def test_truncated_file_rejected(self, index2018, tmp_path):
         path = tmp_path / "bg.json"
@@ -656,11 +663,12 @@ class TestPersistence:
             "node with edge fields",
             "edge without tail",
             "empty row",
+            "postings only",
             "repeated key",
         ],
     )
     def test_edited_edge_row_loads_as_the_oracle_does(self, index2018, tmp_path, edit):
-        """Each way an edge row can miss the fast path for known keys."""
+        """Each way an edited edge row can fail or change its key."""
         path = tmp_path / "bg.json"
         save_index(index2018, path)
         lines = path.read_text(encoding="utf-8").split("\n")
@@ -684,6 +692,8 @@ class TestPersistence:
             del row[3]
         elif edit == "empty row":
             row = []
+        elif edit == "postings only":
+            row = [row[-1]]
         else:
             row = json.loads(lines[i - 1])
         lines[i] = json.dumps(row)

@@ -137,14 +137,19 @@ class TestTrain:
         for name in files:
             assert (rerun / name).read_bytes() == (models / name).read_bytes()
 
-    def test_empty_labels_rejected(self, trained, tmp_path):
+    @pytest.mark.parametrize(
+        "document", ['{"reviews": []}', "[]"], ids=["object", "empty list"]
+    )
+    def test_empty_labels_rejected(self, trained, tmp_path, document):
         empty = tmp_path / "labels.json"
-        empty.write_text('{"reviews": []}', encoding="utf-8")
+        empty.write_text(document, encoding="utf-8")
         result = run_cli(
             "train", empty, "--corpus", PAPERS,
             "--index", trained["index"], "--models", tmp_path / "m",
         )
         assert result.returncode == 2
+        if document == "[]":
+            assert f"labels file {empty} contains no entries" in result.stderr
 
     def test_index_restricted_once_per_cutoff(
         self, trained, tmp_path, monkeypatch, papers, labels

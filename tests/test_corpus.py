@@ -445,6 +445,12 @@ class TestReviewLabels:
         with pytest.raises(ValidationError):
             load_review_labels(path)
 
+    def test_empty_labels_list_rejected(self, tmp_path):
+        path = write_labels(tmp_path, [])
+        with pytest.raises(ValidationError) as exc:
+            load_review_labels(path)
+        assert str(exc.value) == f"labels file {path} contains no entries"
+
     def test_empty_review_list_rejected(self, tmp_path):
         path = write_labels(tmp_path, labels_doc([]))
         with pytest.raises(ValidationError, match="no reviews"):

@@ -108,6 +108,15 @@ class TestTemplateParsing:
         with pytest.raises(ValidationError, match="BOGUS"):
             parse_templates(raw)
 
+    def test_first_fault_in_reading_order_is_named(self):
+        # a category's own templates are read before categories are counted
+        raw = raw_templates()
+        del raw["categories"]["clarity"]
+        raw["categories"]["novelty"]["positive"] = ["uses ${BOGUS}"]
+        with pytest.raises(ValidationError) as exc:
+            parse_templates(raw)
+        assert str(exc.value) == "category 'novelty': unknown slot 'BOGUS'"
+
     def test_malformed_marker_rejected(self):
         raw = raw_templates()
         raw["categories"]["novelty"]["positive"] = ["broken ${"]
