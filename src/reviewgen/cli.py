@@ -8,11 +8,12 @@ Every command produces byte-identical output given identical inputs;
 train and grad-check take the --seed that fixes their randomness.
 Commands run with Python's cyclic garbage collector paused, because their
 data holds no reference cycles. build-background, novelty-timeline,
-train and evaluate read a large corpus, and train fits the seven category
-models, on every CPU in the process's affinity mask: this process and
-workers forked with os.fork, which inherit the paused collector, each
-take the next paper or category whenever they are free, and the workers
-send their results back through pipes. A failure in any process stops
+train and evaluate read a large corpus, train fits the seven category
+models, and review loads the index beside the models, on every CPU in the
+process's affinity mask: this process and workers forked with os.fork,
+which inherit the paused collector, each take the next paper, category
+or half whenever they are free, and the workers send their results back
+through pipes. A failure in any process stops
 every process before its next item. A worker that dies, killed by a
 signal or exiting non-zero, ends the command with exit 1 once this
 process has finished its current item, never with a hang, and no worker
@@ -23,9 +24,15 @@ the staging directory is removed, with anything a failed run left in it.
 ``taskset -c 0`` keeps a command on one CPU; the output is the same.
 train and evaluate read the labels, every corpus file (keeping only the
 labelled papers), the index, then evaluate's models; the first bad input
-names the error. review drops the index before it reads the models.
-build-background and novelty-timeline never load numpy; the other
-commands load it before they read their inputs.
+names the error. review reads its paper, then runs two halves: this
+process loads numpy, the models and the templates, and a worker loads the
+index and builds the paper's evidence, of which only the bundle comes
+back, so the index never enters this process. On one CPU this process runs
+both, the models first. On any number of CPUs the first bad input of
+paper, index, models and templates, in that order, names the error.
+build-background and novelty-timeline never load numpy, review loads it
+beside the index, and the other commands load it before they read their
+inputs.
 """
 
 from __future__ import annotations
@@ -145,14 +152,29 @@ def _bundles(
 
 def cmd_review(args: argparse.Namespace) -> int:
     paper = load_paper(args.paper)
-    index = _load_artifact(load_index, args.index)
-    bundle = _bundles([paper], index, args.cutoff)[paper.paper_id]
-    del index  # the models and templates need not sit beside it
-    models = _load_models(args.models)
-    if args.templates is None:
-        templates = default_templates()
-    else:
-        templates = load_templates(args.templates)
+
+    def half(item: int):
+        """Item 0, which this process runs, loads numpy, the models and the
+        templates; item 1, which a worker runs when there is a second CPU,
+        loads the index and returns only the paper's bundle. Each returns
+        the error that main reports, so that a bad index is named before a
+        bad model on any number of CPUs."""
+        try:
+            if item == 1:
+                index = _load_artifact(load_index, args.index)
+                return _bundles([paper], index, args.cutoff)[paper.paper_id]
+            models = _load_models(args.models)
+            if args.templates is None:
+                return models, default_templates()
+            return models, load_templates(args.templates)
+        except (_ArtifactError, ReviewgenError, ValueError, OSError) as exc:
+            return exc
+
+    read, bundle = fork_map(half, (0, 1))
+    for outcome in (bundle, read):
+        if isinstance(outcome, Exception):
+            raise outcome
+    models, templates = read
     report = predict_scores(paper, bundle, models)
     doc = assemble(paper.paper_id, report, bundle, templates)
     sys.stdout.write(render(doc, args.format))
@@ -378,9 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func not in (cmd_build_background, cmd_novelty_timeline):
+    if args.func not in (cmd_build_background, cmd_novelty_timeline, cmd_review):
         # numpy first loaded in the middle of building bundles raises
-        # train's peak memory; the first attribute read loads it
+        # train's peak memory; the first attribute read loads it (review
+        # loads it with its models, beside the index)
         np.ndarray  # noqa: B018
     collecting = gc.isenabled()
     gc.disable()

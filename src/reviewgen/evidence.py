@@ -6,13 +6,16 @@ behind the paper's high-TF-IDF elements; summary evidence is the subgraph
 of relations worth describing in prose. The numeric feature vector that
 feeds the score predictor is derived from the same pieces. A bundle scores
 the paper's TF-IDF once; the comparison evidence and the mean-TF-IDF
-feature both read that one score map.
+feature both read that one score map, which the bundle keeps. The feature
+vector is computed from the bundle's own fields on first read, so building,
+pickling and unpickling a bundle never loads numpy.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from reviewgen import np
@@ -72,12 +75,17 @@ class EvidenceBundle:
     summary: KnowledgeGraph
     novelty_new: tuple[ElementKey, ...]
     comparison: tuple[ComparisonEntry, ...]
-    features: np.ndarray
+    tfidf: dict[ElementKey, float]  # tfidf(index, gp)
     gp: KnowledgeGraph  # target-scope graph
     grel: KnowledgeGraph  # related-work graph
     # representative -> original-casing surface, for rendering comments;
     # target-scope entities win over related-work ones on collisions
     surfaces: dict[NormalizedString, str] = field(default_factory=dict)
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        """The score models' 17 evidence features."""
+        return evidence_features(self.gp, self.novelty_new, self.comparison, self.tfidf)
 
 
 @dataclass(frozen=True)
@@ -151,8 +159,8 @@ def recommend_related(entry: ComparisonEntry) -> list[PaperRef]:
 
 def evidence_features(
     gp: KnowledgeGraph,
-    novelty_new: list[ElementKey],
-    comparison: list[ComparisonEntry],
+    novelty_new: Sequence[ElementKey],
+    comparison: Sequence[ComparisonEntry],
     scores: dict[ElementKey, float],
 ) -> np.ndarray:
     """Deterministic 17-dim summary of one paper's evidence; ``scores`` is
@@ -179,14 +187,13 @@ def build_bundle(paper: PaperRecord, index: BackgroundIndex) -> EvidenceBundle:
     novelty_new = extract_novelty(gp, index)
     scores = tfidf(index, gp)
     comparison = extract_comparison(scores, grel, index, set(paper.citations))
-    features = evidence_features(gp, novelty_new, comparison, scores)
     surfaces = {e.representative: e.rep_surface for e in grel.entities}
     surfaces.update((e.representative, e.rep_surface) for e in gp.entities)
     return EvidenceBundle(
         summary=extract_summary(gp),
         novelty_new=tuple(novelty_new),
         comparison=tuple(comparison),
-        features=features,
+        tfidf=scores,
         gp=gp,
         grel=grel,
         surfaces=surfaces,

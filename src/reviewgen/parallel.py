@@ -57,11 +57,12 @@ def _take(counter: int, end: int, stop: bool = False) -> int:
 
 def _outcomes(
     fn: Callable[[Any], Any], items: Sequence[Any], counter: int, i: int | None
-) -> Iterator[tuple[int, Any]]:
-    """``(i, fn(items[i]))`` for item ``i``, or for the first item taken
-    from ``counter`` if ``i`` is None, and then for each item this process
-    takes from it, in turn, ending with the exception of the first item
-    that raises one, if any does; that item stops every process."""
+) -> Iterator[tuple[int, bool, Any]]:
+    """``(i, False, fn(items[i]))`` for item ``i``, or for the first item
+    taken from ``counter`` if ``i`` is None, and then for each item this
+    process takes from it, in turn, ending with ``(i, True, exception)`` for
+    the first item that raises one, if any does; that item stops every
+    process. The flag tells a raised exception from a returned one."""
     if i is None:
         i = _take(counter, len(items))
     while i < len(items):
@@ -69,9 +70,9 @@ def _outcomes(
             outcome = fn(items[i])
         except Exception as exc:
             _take(counter, len(items), stop=True)
-            yield i, exc
+            yield i, True, exc
             return
-        yield i, outcome
+        yield i, False, outcome
         i = _take(counter, len(items))
 
 
@@ -164,9 +165,9 @@ def fork_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 os.close(write)
-        outcomes: dict[int, Any] = {}
-        for i, outcome in _outcomes(fn, items, counter, 0):
-            outcomes[i] = outcome
+        outcomes: dict[int, tuple[bool, Any]] = {}
+        for i, raised, outcome in _outcomes(fn, items, counter, 0):
+            outcomes[i] = raised, outcome
             read_pipes(0)
         while workers:
             read_pipes(None)
@@ -179,15 +180,16 @@ def fork_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
     finally:
         os.close(counter)
     for data in sent.values():
-        outcomes.update(pickle.loads(data))
+        for i, raised, outcome in pickle.loads(data):
+            outcomes[i] = raised, outcome
     # every process runs each item it takes, and the counter deals items
     # in order, so every item before the last one taken has an outcome; a
     # failing item stops the dealing, so scanning in item order raises a
     # failure before reaching an item that no process took
     results = []
     for i in range(len(items)):
-        outcome = outcomes[i]
-        if isinstance(outcome, Exception):
+        raised, outcome = outcomes[i]
+        if raised:
             raise outcome
         results.append(outcome)
     return results

@@ -16,7 +16,7 @@ import weakref
 
 import pytest
 
-from conftest import TOY_DIR, corrupted_backward, golden, run_cli
+from conftest import TOY_DIR, corrupted_backward, golden, run_bounded, run_cli
 from reviewgen import cli, corpus
 from reviewgen.background import load_index, save_index
 from reviewgen.cli import main
@@ -27,6 +27,32 @@ from reviewgen.scoring import grad, load_model, save_model
 PAPERS = TOY_DIR / "papers"
 LABELS = TOY_DIR / "labels.json"
 TEMPLATES = TOY_DIR.parent / "templates" / "default.json"
+
+# review on two CPUs, where the worker kills itself as it loads the index;
+# the caller's half waits until the worker has exited, so the worker, never
+# the caller, takes the index half, and writes the dead worker's pid to the
+# file named by the first argument
+_KILLED_INDEX_WORKER_CLI = """
+import os, signal, sys
+from pathlib import Path
+from reviewgen import cli, parallel
+parallel.cpu_count = lambda: 2
+caller = os.getpid()
+load_index, load_models = cli.load_index, cli._load_models
+
+def kill_in_worker(path):
+    if os.getpid() != caller:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return load_index(path)
+
+def after_the_worker_exits(path):
+    dead = os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+    Path(sys.argv[1]).write_text(str(dead.si_pid))
+    return load_models(path)
+
+cli.load_index, cli._load_models = kill_in_worker, after_the_worker_exits
+sys.exit(cli.main(sys.argv[2:]))
+"""
 
 
 class TestBuildBackground:
@@ -312,6 +338,48 @@ class TestReview:
             "--index", tmp_path / "no.json", "--models", trained["models"],
         )
         assert result.returncode == 3
+
+    def test_bad_index_named_before_bad_models(self, trained, tmp_path):
+        # on one CPU the models are read before the index, on two beside it;
+        # either way the index's error is the one named
+        index = _write(tmp_path / "bg.json", "{not json\n")
+        with pytest.raises(cli._ArtifactError) as exc:
+            cli._load_artifact(load_index, index)
+        results = [
+            run_cli("review", PAPERS / "P12.json", "--index", index,
+                    "--models", tmp_path / "none", cpus=count)
+            for count in (1, 2)
+        ]
+        for result in results:
+            assert (result.returncode, result.stdout) == (3, "")
+            assert result.stderr == f"error: {exc.value}\n"
+        assert results[0].stderr == results[1].stderr
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_bad_models_named_before_bad_templates(self, trained, tmp_path, count):
+        models = tmp_path / "none"
+        with pytest.raises(cli._ArtifactError) as exc:
+            cli._load_models(models)
+        result = run_cli(
+            "review", PAPERS / "P12.json", "--index", trained["index"],
+            "--models", models,
+            "--templates", _write(tmp_path / "tpl.json", "{not json"), cpus=count,
+        )
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr == f"error: {exc.value}\n"
+
+    def test_killed_index_worker(self, trained, tmp_path):
+        # one error line naming the worker and its signal, and no output
+        pid_file = tmp_path / "pid"
+        result = run_bounded(
+            _KILLED_INDEX_WORKER_CLI, pid_file, "review", PAPERS / "P12.json",
+            "--index", trained["index"], "--models", trained["models"], seconds=60,
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == (
+            f"internal check failed: worker {pid_file.read_text()} "
+            "was killed by signal 9 (Killed)\n"
+        )
 
     @pytest.mark.parametrize("mutation", ["non-array row", "future posting"])
     def test_bad_index_row_is_artifact_error(self, trained, tmp_path, mutation):
@@ -605,6 +673,17 @@ EXIT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(EXIT_CASES))
 def test_exit_code(trained, tmp_path, capsys, case):
+    _check_exit_code(trained, tmp_path, capsys, case)
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_exit_code_on_one_cpu(trained, tmp_path, capsys, cpus, case):
+    # on one CPU review reads its models before its index, not beside it
+    cpus(1)
+    _check_exit_code(trained, tmp_path, capsys, case)
+
+
+def _check_exit_code(trained, tmp_path, capsys, case):
     code, argv = EXIT_CASES[case]
     assert main([str(a) for a in argv(trained, tmp_path)]) == code
     out, err = capsys.readouterr()

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +41,23 @@ from synth import (
 )
 
 from conftest import golden
+
+# the index half of a review in a fresh interpreter: prints the numpy
+# submodules that loading the index, building the bundle and pickling and
+# unpickling it loaded, then whether the bundle's features equal
+# evidence_features of its own fields and the features of its copy
+_INDEX_HALF = """
+import json, pickle, sys
+from reviewgen import cli, evidence_features, load_index, load_paper
+paper = load_paper(sys.argv[1])
+bundle = cli._bundles([paper], load_index(sys.argv[2]), None)[paper.paper_id]
+copy = pickle.loads(pickle.dumps(bundle))
+loaded = sorted(m for m in sys.modules if m.startswith("numpy."))
+features = bundle.features.tobytes()
+fields = evidence_features(
+    bundle.gp, bundle.novelty_new, bundle.comparison, bundle.tfidf).tobytes()
+print(json.dumps([loaded, features == fields, features == copy.features.tobytes()]))
+"""
 
 
 def make_paper(paper_id, year, sentences, mentions, relations, clusters=(),
@@ -339,6 +359,16 @@ class TestBuildBundle:
             assert bundle.features[16] == np.mean(list(scores.values()))
             for entry in bundle.comparison:
                 assert entry.tfidf == scores[entry.element]
+
+
+    def test_bundle_built_and_pickled_without_numpy(self, trained, toy_dir):
+        result = subprocess.run(
+            [sys.executable, "-c", _INDEX_HALF,
+             toy_dir / "papers" / "P12.json", trained["index"]],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [[], True, True]
 
 
 class TestNoveltyTimeline:

@@ -114,6 +114,15 @@ def test_first_error_in_item_order_raised_after_earlier_results(cpus, count, bad
     assert str(exc.value) == f"item {min(bad)}"
 
 
+@pytest.mark.parametrize("count", [1, 2])
+def test_returned_exception_is_a_result(cpus, count):
+    # what an item returns comes back as it is, an exception included;
+    # only an exception an item raises is raised
+    cpus(count)
+    results = fork_map(ValueError, range(4))
+    assert [(type(r), r.args) for r in results] == [(ValueError, (i,)) for i in range(4)]
+
+
 def test_each_process_stops_at_its_first_failing_item(cpus):
     # the items each process ran are recorded in its own memory, so only
     # the caller's show here
