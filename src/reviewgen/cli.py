@@ -13,14 +13,14 @@ models, and review loads the index beside the models, on every CPU in the
 process's affinity mask: this process and workers forked with os.fork,
 which inherit the paused collector, each take the next paper, category
 or half whenever they are free, and the workers send their results back
-through pipes. A failure in any process stops
-every process before its next item. A worker that dies, killed by a
-signal or exiting non-zero, ends the command with exit 1 once this
-process has finished its current item, never with a hang, and no worker
-outlives the command. Each train process writes the models of its own
-categories into one staging directory inside the models directory; all
-seven are renamed into place only once every one has been trained, and
-the staging directory is removed, with anything a failed run left in it.
+through pipes. A failure in any process stops every process before its
+next item. A worker that dies, killed by a signal or exiting non-zero,
+ends the command with exit 1 once this process has finished its current
+item, never with a hang, and no worker outlives the command. Each train
+process writes the models of its own categories into one staging
+directory inside the models directory; all seven are renamed into place
+only once every one has been trained, and the staging directory is
+removed, with anything a failed run left in it.
 ``taskset -c 0`` keeps a command on one CPU; the output is the same.
 train and evaluate read the labels, every corpus file (keeping only the
 labelled papers), the index, then evaluate's models; the first bad input

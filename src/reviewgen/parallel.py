@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from typing import Any, NoReturn
+from typing import Any, NamedTuple, NoReturn
 
 from reviewgen.errors import ReviewgenError
 
@@ -37,6 +37,12 @@ from reviewgen.errors import ReviewgenError
 def cpu_count() -> int:
     """The number of CPUs in this process's affinity mask."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+class _Raised(NamedTuple):
+    """The exception an item raised, told apart from one it returned."""
+
+    exc: Exception
 
 
 def _take(counter: int, end: int, stop: bool = False) -> int:
@@ -57,12 +63,11 @@ def _take(counter: int, end: int, stop: bool = False) -> int:
 
 def _outcomes(
     fn: Callable[[Any], Any], items: Sequence[Any], counter: int, i: int | None
-) -> Iterator[tuple[int, bool, Any]]:
-    """``(i, False, fn(items[i]))`` for item ``i``, or for the first item
-    taken from ``counter`` if ``i`` is None, and then for each item this
-    process takes from it, in turn, ending with ``(i, True, exception)`` for
-    the first item that raises one, if any does; that item stops every
-    process. The flag tells a raised exception from a returned one."""
+) -> Iterator[tuple[int, Any]]:
+    """``(i, fn(items[i]))`` for item ``i``, or for the first item taken
+    from ``counter`` if ``i`` is None, and then for each item this process
+    takes from it, in turn, ending with ``(i, _Raised(exception))`` for the
+    first item that raises one, if any does; that item stops every process."""
     if i is None:
         i = _take(counter, len(items))
     while i < len(items):
@@ -70,9 +75,9 @@ def _outcomes(
             outcome = fn(items[i])
         except Exception as exc:
             _take(counter, len(items), stop=True)
-            yield i, True, exc
+            yield i, _Raised(exc)
             return
-        yield i, False, outcome
+        yield i, outcome
         i = _take(counter, len(items))
 
 
@@ -165,9 +170,9 @@ def fork_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 os.close(write)
-        outcomes: dict[int, tuple[bool, Any]] = {}
-        for i, raised, outcome in _outcomes(fn, items, counter, 0):
-            outcomes[i] = raised, outcome
+        outcomes: dict[int, Any] = {}
+        for i, outcome in _outcomes(fn, items, counter, 0):
+            outcomes[i] = outcome
             read_pipes(0)
         while workers:
             read_pipes(None)
@@ -180,16 +185,15 @@ def fork_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
     finally:
         os.close(counter)
     for data in sent.values():
-        for i, raised, outcome in pickle.loads(data):
-            outcomes[i] = raised, outcome
+        outcomes.update(pickle.loads(data))
     # every process runs each item it takes, and the counter deals items
     # in order, so every item before the last one taken has an outcome; a
     # failing item stops the dealing, so scanning in item order raises a
     # failure before reaching an item that no process took
     results = []
     for i in range(len(items)):
-        raised, outcome = outcomes[i]
-        if raised:
-            raise outcome
+        outcome = outcomes[i]
+        if isinstance(outcome, _Raised):
+            raise outcome.exc
         results.append(outcome)
     return results
